@@ -12,10 +12,9 @@ from collections import defaultdict
 
 import numpy as np
 
-from factordescent import (ExperimentConfig, check_init_condition,
-                           check_optimal_step, generate_instance, run,
-                           policy_from_name, step_context_at,
-                           trajectory_reports)
+from factordescent import (CHECK_OPTIMAL_STEP, ExperimentConfig,
+                           check_init_condition, generate_instance, run,
+                           policy_from_name, trajectory_reports)
 
 config = ExperimentConfig(n=50, r=3, seed=11, init_kind="near", init_param=0.5,
                           policies=("adaptive-exact",), delta_rho=0.5,
@@ -35,10 +34,11 @@ print(f"run: {traj.terminated} after {traj.final.k} iterations, "
 # ---------------------------------------------------------------
 # every check, worst slack across the trajectory
 # ---------------------------------------------------------------
+reports = trajectory_reports(problem, traj)
 slack = defaultdict(lambda: np.inf)
 counts = defaultdict(int)
 skipped = defaultdict(int)
-for rep in trajectory_reports(problem, traj):
+for rep in reports:
     if rep.applicable:
         slack[rep.name] = min(slack[rep.name], rep.slack)
         counts[rep.name] += 1
@@ -54,10 +54,10 @@ if skipped:
     print("not applicable:", dict(skipped))
 
 # ---------------------------------------------------------------
-# the chosen step really minimizes the quadratic bound
+# the chosen step really minimizes the quadratic bound: the optimal_step
+# rows compare the bound at eta* with its minimum over sampled steps
 # ---------------------------------------------------------------
-audited = sum(
-    check_optimal_step(step_context_at(problem, traj, k), seed=k)
-    for k in range(len(traj.records) - 1))
-print(f"\noptimal-step property verified at {audited} of "
-      f"{len(traj.records) - 1} transitions")
+audit = [rep for rep in reports if rep.name == CHECK_OPTIMAL_STEP]
+verified = sum(rep.holds for rep in audit if rep.applicable)
+print(f"\noptimal-step property verified at {verified} of "
+      f"{len(audit)} transitions")

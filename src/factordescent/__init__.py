@@ -33,8 +33,8 @@ from .descent import (InitCheck, IterateRecord, Problem, RunState, Trajectory,
 from .bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                      CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                      CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
-                     CHECK_REGULARITY, InequalityReport, check_contraction,
-                     check_descent_bound, check_local_step_floor,
+                     CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InequalityReport,
+                     check_contraction, check_descent_bound, check_local_step_floor,
                      check_optimal_step, check_regularity, dist_sq_upper_bound,
                      step_context_at, trajectory_reports)
 from .experiments import (ExperimentConfig, RunArtifact, export_csv,
@@ -67,6 +67,7 @@ __all__ = [
     "CHECK_LOCAL_STEP_FLOOR", "CHECK_REGULARITY", "CHECK_DESCENT_QUADRATIC",
     "CHECK_CONTRACTION_FIXED", "CHECK_CONTRACTION_ADAPTIVE",
     "CHECK_CONTRACTION_EXACT_LOCAL", "CHECK_CONTRACTION_EXACT_OPTIMAL",
+    "CHECK_OPTIMAL_STEP",
     "ExperimentConfig", "RunArtifact", "policy_from_name", "generate_instance",
     "run_comparison", "export_csv", "write_plot_script", "figure_configs",
     "reproduce_figures",

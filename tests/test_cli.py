@@ -97,6 +97,11 @@ class TestVerifyCommand:
     def test_bad_seed_range_exits_2(self):
         assert main(["verify", "--seed", "5..x"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--safety", "2"], ["--max-iters", "0"]])
+    def test_out_of_range_config_exits_2(self, argv, capsys):
+        assert main(["verify", *argv]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_out_dumps_csvs(self, tmp_path):
         code = main(["verify", "--seed", "3", "--n", "20", "--r", "2",
                      "--max-iters", "150", "--out", str(tmp_path)])
