@@ -31,7 +31,7 @@ grad0 = objective.grad(x0)
 direction = factored_gradient(objective, u0)
 
 eta0 = eta_fixed(objective.M, x0, grad0)
-local = eta_local(objective.M, x0, grad0, u0)
+local = eta_local(objective.M, grad0, u0)
 print(f"eta_fixed  = {eta0:.6e}")
 print(f"eta_local  = {local:.6e}   (>= eta_fixed at X0: {local >= eta0})")
 

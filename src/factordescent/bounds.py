@@ -22,10 +22,12 @@ per transition (quadratic bound at the step taken, the four contraction
 factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
-One evaluator builds every report: it computes an iterate's gradient,
-local step and Procrustes alignment once, reads the next squared distance
-off the trajectory's records, and the public ``check_*`` functions select
-their report from that same evaluation.
+One function builds every report. It evaluates an iterate with the
+engine's own evaluation (the X, gradient, direction and Procrustes alignment
+that ``descent.step`` reads, so both share one squared-distance formula),
+adds the local step and reads the next squared distance off the
+trajectory's records; the public ``check_*`` functions select their report
+from that same evaluation.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepsize
-from .descent import Problem, Trajectory, _problem_radius
-from .errors import MissingGroundTruthError
-from .geometry import as_factor, procrustes_align
-from .stepsize import StepContext
+from .descent import Problem, Trajectory, _evaluate, _problem_radius, prepare
+from .stepsize import StepContext, StepPolicy
 
 __all__ = [
     "TOL_ABS",
@@ -108,36 +108,19 @@ def make_report(k: int, name: str, lhs: float, rhs: float, applicable: bool = Tr
 
 def _anchors(problem: Problem) -> tuple[float, float]:
     """Per-trajectory constants: the anchored fixed step and the start radius."""
-    if problem.u_star is None:
-        raise MissingGroundTruthError("verification checks need the ground-truth factor")
-    x0 = problem.u0 @ problem.u0.T
-    eta0 = stepsize.eta_fixed(problem.M, x0, problem.objective.grad(x0))
-    return eta0, _problem_radius(problem)
+    radius = _problem_radius(problem)  # raises without a ground truth
+    return prepare(problem, StepPolicy.fixed()).eta0, radius
 
 
-@dataclass(frozen=True)
-class _IterateData:
-    """Quantities computed once at one iterate for the checks."""
-
-    ctx: StepContext  # true distance, no estimation error, anchored eta_fixed
-    correlation: float  # <grad f(X) U, U - U* R>
-    within_radius: bool
-
-
-def _iterate_data(problem: Problem, u, eta0: float, radius: float) -> _IterateData:
-    u = as_factor(u)
-    x = u @ u.T
-    grad = problem.objective.grad(x)
-    direction = grad @ u
-    error = u - problem.u_star @ procrustes_align(u, problem.u_star)
-    ctx = StepContext(eta_fixed=eta0, eta_local=stepsize.eta_local(problem.M, x, grad, u),
-                      m=problem.m, sigma_r=problem.sigma_r_xstar,
-                      dist_sq=float(np.sum(error * error)),
-                      grad_norm_sq=float(np.sum(direction * direction)),
-                      grad_floor=stepsize.grad_floor(u))
-    # ||U - U* R||_F is dist(U, U*), so the radius test needs no second alignment
-    return _IterateData(ctx=ctx, correlation=float(np.sum(direction * error)),
-                        within_radius=bool(float(np.linalg.norm(error)) <= radius))
+def _iterate_data(problem: Problem, u, eta0: float, radius: float):
+    """(step context, <grad f(X) U, U - U* R>, inside the start radius) at
+    iterate u; the context has the true distance, no estimation error and
+    the anchored eta_fixed."""
+    point = _evaluate(problem, u)
+    ctx = StepContext(eta_fixed=eta0, eta_local=stepsize.eta_local(problem.M, point.grad, point.u),
+                      m=problem.m, sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
+                      grad_norm_sq=point.grad_norm_sq, grad_floor=stepsize.grad_floor(point.u))
+    return ctx, float(np.sum(point.direction * point.error)), point.dist <= radius
 
 
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
@@ -161,29 +144,27 @@ def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, grid_points: 
                          random_draws: int = 20, seed=0, tol: float = 1e-12) -> InequalityReport:
     """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
     uniform draws; applicable while the gradient is above its floor."""
-    etas = np.linspace(0.0, 2.0 * eta_opt, grid_points)
-    if random_draws > 0:
-        rng = np.random.default_rng(seed)
-        etas = np.concatenate([etas, rng.uniform(0.0, 2.0 * eta_opt, random_draws)])
+    draws = np.random.default_rng(seed).uniform(0.0, 2.0 * eta_opt, random_draws)
+    etas = np.concatenate([np.linspace(0.0, 2.0 * eta_opt, grid_points), draws])
     return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
                        rhs=float(np.min(_bound(ctx, etas))),
                        applicable=ctx.grad_norm_sq > ctx.grad_floor,
                        tol_abs=tol, tol_rel=0.0)
 
 
-def _reports(k: int, data: _IterateData, transition=None) -> list[InequalityReport]:
+def _reports(k: int, data, transition=None) -> list[InequalityReport]:
     """Every check at iterate k. The point checks always; the transition
     checks when transition = (step taken, next squared distance) is given.
     The contraction hypotheses are those listed in check_contraction; the
     optimal-step audit needs no radius, only a gradient above its floor."""
-    ctx, inside = data.ctx, data.within_radius
+    ctx, correlation, inside = data
     m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
     reports = [
         make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,
                     rhs=ctx.eta_local, applicable=inside),
         make_report(k, CHECK_REGULARITY,
                     lhs=_regularity_lhs(ctx.eta_local, ctx.grad_norm_sq, m, sigma_r, dist_sq),
-                    rhs=data.correlation, applicable=inside),
+                    rhs=correlation, applicable=inside),
     ]
     if transition is None:
         return reports
@@ -294,7 +275,7 @@ def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
     """Rebuild the step context at a recorded iterate (true distance, no
     estimation error), e.g. to audit the optimal-step property."""
     _require_iterates(traj)
-    return _iterate_data(problem, traj.iterates[k], *_anchors(problem)).ctx
+    return _iterate_data(problem, traj.iterates[k], *_anchors(problem))[0]
 
 
 def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:

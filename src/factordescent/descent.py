@@ -21,9 +21,10 @@ from scipy.optimize import brentq
 
 from . import stepsize
 from .errors import MissingGroundTruthError, NumericalBlowupError
-from .geometry import as_factor, dist, sigma_min_positive, spectral_norm
+from .geometry import as_factor, dist, procrustes_align, sigma_min_positive, spectral_norm
 from .objectives import Objective
-from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, SIGMA_FROM_XSTAR, StepContext, StepPolicy
+from .stepsize import (ADAPTIVE_EXACT, FIXED_FGD, SIGMA_FROM_XSTAR, StepContext, StepPolicy,
+                       _gradient_scale)
 
 __all__ = [
     "TERMINATED_TOLERANCE",
@@ -69,14 +70,6 @@ class Problem:
     u_star: np.ndarray | None = None
     sigma_r_xstar: float | None = None
     sigma1_xstar: float | None = None
-
-    @property
-    def n(self) -> int:
-        return self.u0.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.u0.shape[1]
 
     @property
     def m(self) -> float:
@@ -183,10 +176,8 @@ def _problem_radius(problem: Problem) -> float:
 
 def check_init_condition(problem: Problem) -> InitCheck:
     """Whether dist(U0, U*) is within the start radius."""
-    lhs = dist(problem.u0, problem.u_star) if problem.u_star is not None else None
-    if lhs is None:
-        raise MissingGroundTruthError("initialization check needs the ground-truth factor")
-    rhs = _problem_radius(problem)
+    rhs = _problem_radius(problem)  # raises without a ground truth
+    lhs = dist(problem.u0, problem.u_star)
     return InitCheck(holds=bool(lhs <= rhs), lhs=float(lhs), rhs=rhs)
 
 
@@ -251,13 +242,51 @@ class RunState:
     g0: float
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """One iterate U: X = U U^T, g = f(X), grad f(X), the direction grad f(X) U
+    and, with a ground truth, the aligned error U - U* R and dist(U, U*)."""
+
+    u: np.ndarray
+    x: np.ndarray
+    g: float
+    grad: np.ndarray
+    direction: np.ndarray
+    grad_norm_sq: float
+    error: np.ndarray | None
+    dist: float | None
+    dist_sq: float | None
+
+
+def _evaluate(problem: Problem, u, k: int = 0) -> _Evaluation:
+    """Everything the step rules and the checks read at iterate k. Raises
+    NumericalBlowupError when g or the direction is not finite."""
+    u = as_factor(u)
+    # overflow to inf is the divergence signal here, not a warning condition
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = u @ u.T
+        g = float(problem.objective.value(x))
+        grad = problem.objective.grad(x)
+        direction = grad @ u
+        grad_norm_sq = float(np.sum(direction * direction))
+    if not (np.isfinite(g) and np.all(np.isfinite(direction))):
+        raise NumericalBlowupError(f"objective or direction not finite at iteration {k}")
+    error = distance = dist_sq = None
+    if problem.u_star is not None:
+        error = u - problem.u_star @ procrustes_align(u, problem.u_star)
+        distance = float(np.linalg.norm(error))
+        dist_sq = distance ** 2
+    return _Evaluation(u=u, x=x, g=g, grad=grad, direction=direction, grad_norm_sq=grad_norm_sq,
+                       error=error, dist=distance, dist_sq=dist_sq)
+
+
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:
     """Freeze the per-run quantities a policy needs before iterating."""
-    x0 = problem.u0 @ problem.u0.T
+    start = _evaluate(problem, problem.u0)
     if policy.eta_override is not None:
         eta0 = policy.eta_override
     else:
-        eta0 = stepsize.eta_fixed(problem.M, x0, problem.objective.grad(x0))
+        eta0 = stepsize.eta_fixed(problem.M, start.x, start.grad)
     sigma_r = None
     if policy.kind != FIXED_FGD:
         if problem.u_star is None:
@@ -267,64 +296,46 @@ def prepare(problem: Problem, policy: StepPolicy) -> RunState:
             sigma_r = problem.sigma_r_xstar
         else:
             sigma_r = sigma_min_positive(problem.u0) ** 2
-    g0 = float(problem.objective.value(x0))
-    return RunState(eta0=eta0, sigma_r=sigma_r, g0=g0)
+    return RunState(eta0=eta0, sigma_r=sigma_r, g0=start.g)
 
 
-def _step_length(policy, state, problem, u, x, grad, grad_norm_sq, dist_sq, delta):
-    if policy.kind == FIXED_FGD:
-        return state.eta0
-    local = stepsize.eta_local(problem.M, x, grad, u) if policy.kind == ADAPTIVE_EXACT else 0.0
-    ctx = StepContext(eta_fixed=state.eta0, eta_local=local, m=problem.m,
-                      sigma_r=state.sigma_r, dist_sq=dist_sq,
-                      grad_norm_sq=grad_norm_sq, delta=delta,
-                      grad_floor=stepsize.grad_floor(u))
-    if policy.kind == ADAPTIVE_EXACT:
-        return stepsize.eta_estimated(ctx)
-    return stepsize.eta_practical(ctx)
-
-
-def step(u, objective: Objective, policy: StepPolicy, problem: Problem, *,
+def step(u, policy: StepPolicy, problem: Problem, *,
          state: RunState | None = None, k: int = 0, delta_rng=None):
     """One update U - eta * grad f(U U^T) @ U under the given policy.
 
     Returns (next factor, record of the current iterate). state carries the
     run-level constants; passing None recomputes them from the problem.
-    Raises NumericalBlowupError when the update produces non-finite entries.
+    Raises NumericalBlowupError when the iterate or the update is not finite.
     """
     if state is None:
         state = prepare(problem, policy)
-    u = as_factor(u)
-    # overflow to inf is the divergence signal here, not a warning condition
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = u @ u.T
-        g = float(objective.value(x))
-        grad = objective.grad(x)
-        direction = grad @ u
-        grad_norm_sq = float(np.sum(direction * direction))
+    point = _evaluate(problem, u, k)
 
-    dist_sq = None
-    if problem.u_star is not None:
-        dist_sq = dist(u, problem.u_star) ** 2
-
-    delta = 0.0
-    if policy.kind != FIXED_FGD and policy.delta_rho > 0.0:
-        if delta_rng is None:
-            raise ValueError("delta_rho > 0 requires a delta_rng")
-        delta = policy.delta_rho * dist_sq * float(delta_rng.uniform(-1.0, 1.0))
-
-    eta_k = _step_length(policy, state, problem, u, x, grad,
-                         grad_norm_sq, dist_sq, delta) * policy.eta_scale
+    eta_k, delta = state.eta0, 0.0
+    if policy.kind != FIXED_FGD:
+        if policy.delta_rho > 0.0:
+            if delta_rng is None:
+                raise ValueError("delta_rho > 0 requires a delta_rng")
+            delta = policy.delta_rho * point.dist_sq * float(delta_rng.uniform(-1.0, 1.0))
+        exact = policy.kind == ADAPTIVE_EXACT
+        local = stepsize.eta_local(problem.M, point.grad, point.u) if exact else 0.0
+        ctx = StepContext(eta_fixed=state.eta0, eta_local=local, m=problem.m,
+                          sigma_r=state.sigma_r, dist_sq=point.dist_sq,
+                          grad_norm_sq=point.grad_norm_sq, delta=delta,
+                          grad_floor=stepsize.grad_floor(point.u))
+        eta_k = stepsize.eta_estimated(ctx) if exact else stepsize.eta_practical(ctx)
+    eta_k *= policy.eta_scale
 
     if state.g0 > 0.0:
-        rel = g / state.g0
+        rel = point.g / state.g0
     else:
-        rel = 1.0 if g == state.g0 else float("inf")
-    record = IterateRecord(k=int(k), g_value=g, rel_error=float(rel),
-                           dist_sq=dist_sq, eta=float(eta_k),
-                           grad_norm_sq=grad_norm_sq, delta=float(delta))
+        rel = 1.0 if point.g == state.g0 else float("inf")
+    record = IterateRecord(k=int(k), g_value=point.g, rel_error=float(rel),
+                           dist_sq=point.dist_sq, eta=float(eta_k),
+                           grad_norm_sq=point.grad_norm_sq, delta=float(delta))
 
-    u_next = u - eta_k * direction
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_next = point.u - eta_k * point.direction
     if not np.all(np.isfinite(u_next)):
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
     return u_next, record
@@ -350,12 +361,11 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
     terminated = TERMINATED_MAX_ITERS
     for k in range(max_iters + 1):
         try:
-            u_next, record = step(u, problem.objective, policy, problem,
-                                  state=state, k=k, delta_rng=delta_rng)
+            u_next, record = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng)
+            stationary = record.grad_norm_sq < _STOP_FLOOR * _gradient_scale(u)
         except NumericalBlowupError:
-            terminated = TERMINATED_DIVERGED
-            break
-        if not np.isfinite(record.g_value):
+            if not records:
+                raise
             terminated = TERMINATED_DIVERGED
             break
         records.append(record)
@@ -364,13 +374,8 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
         if record.rel_error <= rel_tol:
             terminated = TERMINATED_TOLERANCE
             break
-        if record.grad_norm_sq < _STOP_FLOOR * max(1.0, float(np.linalg.norm(u)) ** 4):
+        if stationary:
             terminated = TERMINATED_STATIONARY
             break
-        if k == max_iters:
-            terminated = TERMINATED_MAX_ITERS
-            break
         u = u_next
-    if not records:
-        raise NumericalBlowupError("objective not finite at the starting point")
     return Trajectory(records=records, terminated=terminated, iterates=iterates)

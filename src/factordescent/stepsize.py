@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProblemError, NegativeEstimateError, ZeroGradientError
+from .errors import (DegenerateProblemError, NegativeEstimateError, NumericalBlowupError,
+                     ZeroGradientError)
 from .geometry import _column_basis, as_factor, as_matrix, spectral_norm
 
 __all__ = [
@@ -141,29 +142,37 @@ def eta_fixed(M: float, x0, grad0) -> float:
     return 1.0 / denom
 
 
-def eta_local(M: float, x, grad, u) -> float:
-    """Fixed-step expression at the current point with a projected gradient.
+def eta_local(M: float, grad, u) -> float:
+    """Fixed-step expression at X = U U^T with a projected gradient.
 
     Computes 1 / (16 (M ||X||_2 + ||grad f(X) Q Q^T||_2)) where Q spans
-    col(U). X must equal U @ U.T (checked to ~1e-9); U must be nonzero.
+    col(U). ||X||_2 = sigma_1(U)^2, so only n x r decompositions are taken;
+    U must be nonzero.
     """
     u = as_factor(u)
-    x = as_matrix(x)
     grad = as_matrix(grad)
-    if not np.allclose(x, u @ u.T, rtol=1e-9, atol=1e-9):
-        raise ValueError("x must equal u @ u.T")
     q = _column_basis(u)
     # ||G Q Q^T||_2 == ||G Q||_2: right-multiplying by Q^T preserves the
     # nonzero singular values.
     projected = spectral_norm(grad @ q)
-    return 1.0 / (16.0 * (M * spectral_norm(x) + projected))
+    return 1.0 / (16.0 * (M * spectral_norm(u) ** 2 + projected))
+
+
+def _gradient_scale(u) -> float:
+    """max(1, ||U||_F)^4, the scale of ||grad f(X) U||_F^2 that the
+    gradient floors are relative to. Raises NumericalBlowupError when it
+    overflows."""
+    with np.errstate(over="ignore"):
+        scale = np.float64(max(1.0, float(np.linalg.norm(u)))) ** 4
+    if not np.isfinite(scale):
+        raise NumericalBlowupError("||U||_F^4 overflows")
+    return float(scale)
 
 
 def grad_floor(u) -> float:
     """Threshold on ||grad f(X) U||_F^2 below which the distance-driven term
     of an adaptive step is numerically meaningless."""
-    scale = max(1.0, float(np.linalg.norm(u)))
-    return 1e-14 * scale ** 4
+    return 1e-14 * _gradient_scale(u)
 
 
 def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:

@@ -46,3 +46,16 @@ def random_orthonormal(rng, r):
     """Haar-ish orthonormal r x r matrix from the QR of a Gaussian draw."""
     q, rr = np.linalg.qr(rng.standard_normal((r, r)))
     return q * np.sign(np.diag(rr))
+
+
+def dense_eta_local(big_m, grad, u):
+    """1 / (16 (M ||U U^T||_2 + ||G Q Q^T||_2)) from full SVDs of the n x n
+    matrices, with Q the left singular vectors of U above the usual rank
+    tolerance."""
+    u = np.asarray(u, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    left, sigma, _ = np.linalg.svd(u, full_matrices=False)
+    q = left[:, sigma > max(u.shape) * np.finfo(float).eps * sigma[0]]
+    x_norm = np.linalg.svd(u @ u.T, compute_uv=False)[0]
+    projected_norm = np.linalg.svd(grad @ q @ q.T, compute_uv=False)[0]
+    return 1.0 / (16.0 * (big_m * x_norm + projected_norm))

@@ -8,8 +8,8 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            CHECK_OPTIMAL_STEP, CHECK_REGULARITY, StepContext,
                            StepPolicy, check_contraction, check_descent_bound,
                            check_local_step_floor, check_optimal_step,
-                           check_regularity, dist_sq_upper_bound, init_near,
-                           make_problem, matrix_factorization, run,
+                           check_regularity, dist_sq_upper_bound, eta_estimated,
+                           init_near, make_problem, matrix_factorization, run,
                            step_context_at, trajectory_reports)
 from factordescent.bounds import CONTRACTION_VARIANTS
 
@@ -265,6 +265,16 @@ class TestSinglePass:
             assert check_optimal_step(ctx) == rows[k, CHECK_OPTIMAL_STEP].holds
             assert rows[k, CHECK_OPTIMAL_STEP].applicable == (
                 ctx.grad_norm_sq > ctx.grad_floor)
+
+    def test_checks_and_engine_share_the_evaluation(self):
+        # the checks rebuild each iterate through the engine's evaluator, so
+        # its distance and its step agree with the records to the bit
+        problem = make_instance(n=25, r=3, seed=1003)
+        traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=0.5))
+        for k, rec in enumerate(traj.records):
+            ctx = step_context_at(problem, traj, k)
+            assert ctx.dist_sq == rec.dist_sq
+            assert eta_estimated(dataclasses.replace(ctx, delta=rec.delta)) == rec.eta
 
     def test_corrupted_next_distance_fails(self):
         problem = make_instance(n=25, r=3, seed=1001)

@@ -157,6 +157,23 @@ class TestFailureExitCodes:
         monkeypatch.setattr(cli_mod, "export_csv", lambda art, out=None: [])
         assert cli_mod.main(["run", "--n", "10", "--out", str(tmp_path)]) == 1
 
+    def test_overflowing_far_start_fails_the_policy(self, tmp_path, capsys):
+        code = main(["run", "--n", "100", "--r", "2", "--init", "far:1e77",
+                     "--policy", "adaptive-practical", "--out", str(tmp_path)])
+        assert code == 1
+        assert "adaptive-practical: FAILED (" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_1(self, monkeypatch, capsys):
+        import factordescent.cli as cli_mod
+
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 29.1 TiB")
+
+        monkeypatch.setattr(cli_mod, "run_comparison", no_memory)
+        assert cli_mod.main(["run", "--n", "2000000", "--r", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
 
 class TestConfigGrammar:
     def test_comments_and_blanks(self):

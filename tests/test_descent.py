@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from factordescent import (MissingGroundTruthError, StepPolicy,
+from factordescent import (MissingGroundTruthError, NumericalBlowupError, StepPolicy,
                            TERMINATED_TOLERANCE, check_init_condition, dist,
                            init_far, init_near, make_problem,
                            matrix_factorization, prepare, run,
@@ -130,7 +130,7 @@ class TestStep:
         u = rng.standard_normal((6, 2))
         objective = matrix_factorization(u @ u.T)
         problem = make_problem(objective, u, u_star=u)
-        u_next, record = step(u, objective, StepPolicy.fixed(), problem)
+        u_next, record = step(u, StepPolicy.fixed(), problem)
         assert record.grad_norm_sq == 0.0
         np.testing.assert_array_equal(u_next, u)
 
@@ -141,7 +141,7 @@ class TestStep:
         u = np.array([[2.0]])
         problem = make_problem(objective, u, u_star=np.array([[1.0]]))
         policy = StepPolicy.fixed(eta_override=1.0 / 64.0)
-        u_next, record = step(u, objective, policy, problem)
+        u_next, record = step(u, policy, problem)
         assert u_next[0, 0] == pytest.approx(1.8125, abs=0)
         assert record.eta == 1.0 / 64.0
         assert record.grad_norm_sq == pytest.approx(144.0)
@@ -242,6 +242,17 @@ class TestRun:
         policy = StepPolicy.fixed(eta_override=1e6)
         traj = run(problem, policy, max_iters=50, rel_tol=1e-12)
         assert traj.terminated == "diverged"
+
+    @pytest.mark.parametrize("policy", [StepPolicy.fixed(eta_override=1e-300),
+                                        StepPolicy.adaptive_practical()])
+    def test_overflowing_gradient_scale_is_a_blowup(self, policy):
+        # g is finite (about 1.3e308) but ||U0||_F^4 overflows a float
+        u_star = np.zeros((4, 2))
+        u_star[:2] = np.eye(2)
+        problem = make_problem(matrix_factorization(u_star @ u_star.T),
+                               9e76 * u_star, u_star=u_star)
+        with pytest.raises(NumericalBlowupError):
+            run(problem, policy, max_iters=5)
 
 
 class TestWithinStartRadius:
