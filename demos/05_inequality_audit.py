@@ -27,7 +27,7 @@ print(f"start distance {start.lhs:.4e} vs radius {start.rhs:.4e} "
 
 policy = policy_from_name("adaptive-exact", delta_rho=0.5)
 traj = run(problem, policy, max_iters=400, rel_tol=1e-8, delta_seed=3,
-           keep_iterates=True)
+           audit=True)
 print(f"run: {traj.terminated} after {traj.final.k} iterations, "
       f"final rel_error {traj.final.rel_error:.2e}")
 

@@ -22,14 +22,13 @@ from .geometry import (as_factor, as_matrix, column_space_projector, dist,
 from .objectives import (Objective, factored_gradient, g_value,
                          matrix_factorization, mf_constants, mf_grad, mf_value)
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
-                       SIGMA_FROM_X0, SIGMA_FROM_XSTAR, StepContext, StepPolicy,
-                       eta_estimated, eta_fixed, eta_local, eta_optimal,
-                       eta_practical, grad_floor)
+                       StepContext, StepPolicy, eta_estimated, eta_fixed,
+                       eta_local, eta_optimal, eta_practical, grad_floor)
 from .descent import (InitCheck, IterateRecord, Problem, RunState, Trajectory,
                       TERMINATED_DIVERGED, TERMINATED_MAX_ITERS,
                       TERMINATED_STATIONARY, TERMINATED_TOLERANCE,
                       check_init_condition, init_far, init_near, make_problem,
-                      prepare, run, start_radius, step, within_start_radius)
+                      prepare, run, start_radius, step)
 from .bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                      CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                      CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
@@ -53,12 +52,11 @@ __all__ = [
     "Objective", "matrix_factorization", "mf_value", "mf_grad", "mf_constants",
     "g_value", "factored_gradient",
     "FIXED_FGD", "ADAPTIVE_EXACT", "ADAPTIVE_PRACTICAL",
-    "SIGMA_FROM_XSTAR", "SIGMA_FROM_X0",
     "StepPolicy", "StepContext", "eta_fixed", "eta_local", "eta_optimal",
     "eta_estimated", "eta_practical", "grad_floor",
     "Problem", "make_problem", "IterateRecord", "Trajectory", "InitCheck",
     "RunState", "prepare", "step", "run", "start_radius",
-    "check_init_condition", "within_start_radius", "init_near", "init_far",
+    "check_init_condition", "init_near", "init_far",
     "TERMINATED_TOLERANCE", "TERMINATED_MAX_ITERS", "TERMINATED_STATIONARY",
     "TERMINATED_DIVERGED",
     "InequalityReport", "check_local_step_floor", "check_regularity",

@@ -22,12 +22,13 @@ per transition (quadratic bound at the step taken, the four contraction
 factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
-One function builds every report. It evaluates an iterate with the
-engine's own evaluation (the X, gradient, direction and Procrustes alignment
-that ``descent.step`` reads, so both share one squared-distance formula),
-adds the local step and reads the next squared distance off the
-trajectory's records; the public ``check_*`` functions select their report
-from that same evaluation.
+One function builds every report of an iterate from its check data: the
+step context, the correlation <grad f(X) U, U - U* R> and the radius test.
+An audited run (``run(..., audit=True)``) keeps that data from the very
+evaluation its step rule used, so the trajectory checks evaluate nothing;
+they read the next squared distance off the records. The point checks build
+the same data for an arbitrary factor through the same helper, and the
+public ``check_*`` functions select their report from those rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stepsize
-from .descent import Problem, Trajectory, _evaluate, _problem_radius, prepare
+from .descent import Problem, Trajectory, _check_data, _evaluate, prepare
 from .stepsize import StepContext, StepPolicy
 
 __all__ = [
@@ -104,23 +105,6 @@ def make_report(k: int, name: str, lhs: float, rhs: float, applicable: bool = Tr
     holds = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
     return InequalityReport(k=int(k), name=name, lhs=float(lhs), rhs=float(rhs),
                             slack=float(slack), holds=holds, applicable=bool(applicable))
-
-
-def _anchors(problem: Problem) -> tuple[float, float]:
-    """Per-trajectory constants: the anchored fixed step and the start radius."""
-    radius = _problem_radius(problem)  # raises without a ground truth
-    return prepare(problem, StepPolicy.fixed()).eta0, radius
-
-
-def _iterate_data(problem: Problem, u, eta0: float, radius: float):
-    """(step context, <grad f(X) U, U - U* R>, inside the start radius) at
-    iterate u; the context has the true distance, no estimation error and
-    the anchored eta_fixed."""
-    point = _evaluate(problem, u)
-    ctx = StepContext(eta_fixed=eta0, eta_local=stepsize.eta_local(problem.M, point.grad, point.u),
-                      m=problem.m, sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
-                      grad_norm_sq=point.grad_norm_sq, grad_floor=stepsize.grad_floor(point.u))
-    return ctx, float(np.sum(point.direction * point.error)), point.dist <= radius
 
 
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
@@ -190,33 +174,32 @@ def _reports(k: int, data, transition=None) -> list[InequalityReport]:
     return reports
 
 
-def _require_iterates(traj: Trajectory) -> None:
-    if traj.iterates is None:
-        raise ValueError("trajectory has no stored iterates; rerun with keep_iterates=True")
+def _require_audit(traj: Trajectory) -> None:
+    if traj.audit is None:
+        raise ValueError("trajectory has no audit data; rerun with audit=True")
 
 
-def _reports_at(problem: Problem, traj: Trajectory, k: int, anchors) -> list[InequalityReport]:
+def _reports_at(traj: Trajectory, k: int) -> list[InequalityReport]:
     """All reports of iterate k, with the outgoing transition unless k is last."""
-    data = _iterate_data(problem, traj.iterates[k], *anchors)
     if k == len(traj.records) - 1:
-        return _reports(k, data)
-    return _reports(k, data, (traj.records[k].eta, traj.records[k + 1].dist_sq))
+        return _reports(k, traj.audit[k])
+    return _reports(k, traj.audit[k], (traj.records[k].eta, traj.records[k + 1].dist_sq))
 
 
 def _select(reports: list[InequalityReport], name: str) -> InequalityReport:
     return next(rep for rep in reports if rep.name == name)
 
 
-def _transition_report(problem: Problem, traj: Trajectory, k: int, name: str) -> InequalityReport:
-    _require_iterates(traj)
+def _transition_report(traj: Trajectory, k: int, name: str) -> InequalityReport:
+    _require_audit(traj)
     if not 0 <= k < len(traj.records) - 1:
         raise IndexError(f"transition {k} out of range (0..{len(traj.records) - 2})")
-    return _select(_reports_at(problem, traj, k, _anchors(problem)), name)
+    return _select(_reports_at(traj, k), name)
 
 
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
-    data = _iterate_data(problem, u, *_anchors(problem))
-    return _select(_reports(k, data), name)
+    eta0 = prepare(problem, StepPolicy.fixed()).eta0
+    return _select(_reports(k, _check_data(problem, _evaluate(problem, u), eta0)), name)
 
 
 def check_local_step_floor(problem: Problem, u, k: int = 0) -> InequalityReport:
@@ -237,8 +220,9 @@ def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
 
 def check_descent_bound(problem: Problem, traj: Trajectory, k: int) -> InequalityReport:
     """The realized next squared distance sits below the quadratic bound
-    evaluated at the step actually taken."""
-    return _transition_report(problem, traj, k, CHECK_DESCENT_QUADRATIC)
+    evaluated at the step actually taken. Reads the audit of traj, which
+    must be a run on problem."""
+    return _transition_report(traj, k, CHECK_DESCENT_QUADRATIC)
 
 
 def check_contraction(problem: Problem, traj: Trajectory, k: int,
@@ -260,7 +244,7 @@ def check_contraction(problem: Problem, traj: Trajectory, k: int,
     """
     if variant not in CONTRACTION_VARIANTS:
         raise ValueError(f"unknown contraction variant {variant!r}")
-    return _transition_report(problem, traj, k, CONTRACTION_VARIANTS[variant])
+    return _transition_report(traj, k, CONTRACTION_VARIANTS[variant])
 
 
 def check_optimal_step(ctx: StepContext, grid_points: int = 41,
@@ -272,10 +256,11 @@ def check_optimal_step(ctx: StepContext, grid_points: int = 41,
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
-    """Rebuild the step context at a recorded iterate (true distance, no
-    estimation error), e.g. to audit the optimal-step property."""
-    _require_iterates(traj)
-    return _iterate_data(problem, traj.iterates[k], *_anchors(problem))[0]
+    """The step context at a recorded iterate (true distance, no estimation
+    error), as the audited run kept it, e.g. to audit the optimal-step
+    property."""
+    _require_audit(traj)
+    return traj.audit[k][0]
 
 
 def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:
@@ -283,12 +268,11 @@ def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityRep
 
     Point checks (step floor, regularity) run at each iterate; transition
     checks (quadratic bound, all four contraction factors, optimal step) at
-    each recorded transition. Requires stored iterates and a known ground
-    truth.
+    each recorded transition. Requires an audited run on problem; nothing is
+    evaluated again.
     """
-    _require_iterates(traj)
-    anchors = _anchors(problem)
+    _require_audit(traj)
     reports: list[InequalityReport] = []
     for k in range(len(traj.records)):
-        reports += _reports_at(problem, traj, k, anchors)
+        reports += _reports_at(traj, k)
     return reports

@@ -9,12 +9,14 @@ with eta_k chosen by a StepPolicy: the anchored fixed step, the exact
 per-iteration optimal step (optionally with synthetic distance-estimation
 noise), or the practical variant. A run records one IterateRecord per
 iterate, including the final one, whose eta is the step that would have been
-taken next.
+taken next. An audited run also keeps, per iterate, the data the checks in
+``bounds`` read, taken from the same evaluation the step rule used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,8 +25,7 @@ from . import stepsize
 from .errors import MissingGroundTruthError, NumericalBlowupError
 from .geometry import as_factor, dist, procrustes_align, sigma_min_positive, spectral_norm
 from .objectives import Objective
-from .stepsize import (ADAPTIVE_EXACT, FIXED_FGD, SIGMA_FROM_XSTAR, StepContext, StepPolicy,
-                       _gradient_scale)
+from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, StepContext, StepPolicy, _gradient_scale
 
 __all__ = [
     "TERMINATED_TOLERANCE",
@@ -38,7 +39,6 @@ __all__ = [
     "InitCheck",
     "start_radius",
     "check_init_condition",
-    "within_start_radius",
     "init_near",
     "init_far",
     "RunState",
@@ -83,6 +83,13 @@ class Problem:
     def kappa(self) -> float:
         return self.objective.kappa
 
+    @cached_property
+    def _anchor(self) -> tuple[float, float]:
+        """(anchored fixed step, g(U0)), computed on first use and shared by
+        every run on this instance: the fixed step takes two n x n SVDs."""
+        start = _evaluate(self, self.u0)
+        return stepsize.eta_fixed(self.M, start.x, start.grad), start.g
+
 
 def make_problem(objective: Objective, u0, u_star=None) -> Problem:
     """Build a Problem, deriving the spectrum of X* from U* when given.
@@ -121,12 +128,13 @@ class IterateRecord:
 
 @dataclass
 class Trajectory:
-    """All records of a run plus the termination reason; iterates holds the
-    factor at every recorded k when the run was asked to keep them."""
+    """All records of a run plus the termination reason; audit holds the
+    check data of every recorded iterate (see ``step``) when the run was
+    audited."""
 
     records: list[IterateRecord]
     terminated: str
-    iterates: list[np.ndarray] | None = None
+    audit: list[tuple[StepContext, float, bool]] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -179,13 +187,6 @@ def check_init_condition(problem: Problem) -> InitCheck:
     rhs = _problem_radius(problem)  # raises without a ground truth
     lhs = dist(problem.u0, problem.u_star)
     return InitCheck(holds=bool(lhs <= rhs), lhs=float(lhs), rhs=rhs)
-
-
-def within_start_radius(problem: Problem, u) -> bool:
-    """Whether an arbitrary iterate sits within the start radius of U*."""
-    if problem.u_star is None:
-        return False
-    return dist(u, problem.u_star) <= _problem_radius(problem)
 
 
 def init_near(u_star, seed, safety: float = 0.5, kappa: float = 1.0) -> np.ndarray:
@@ -280,51 +281,63 @@ def _evaluate(problem: Problem, u, k: int = 0) -> _Evaluation:
                        error=error, dist=distance, dist_sq=dist_sq)
 
 
+def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=None):
+    """(step context, <grad f(X) U, U - U* R>, inside the start radius) at an
+    evaluated iterate: everything the checks in ``bounds`` read. The context
+    has the true distance, no estimation error, sigma_r of X* and the
+    anchored fixed step eta0; eta_local is computed unless given."""
+    radius = _problem_radius(problem)  # raises without a ground truth
+    if eta_local is None:
+        eta_local = stepsize.eta_local(problem.M, point.grad, point.u)
+    ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.m,
+                      sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
+                      grad_norm_sq=point.grad_norm_sq, grad_floor=stepsize.grad_floor(point.u))
+    return ctx, float(np.sum(point.direction * point.error)), point.dist <= radius
+
+
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:
     """Freeze the per-run quantities a policy needs before iterating."""
-    start = _evaluate(problem, problem.u0)
-    if policy.eta_override is not None:
-        eta0 = policy.eta_override
-    else:
-        eta0 = stepsize.eta_fixed(problem.M, start.x, start.grad)
+    eta0, g0 = problem._anchor
     sigma_r = None
     if policy.kind != FIXED_FGD:
         if problem.u_star is None:
             raise MissingGroundTruthError(
                 "adaptive policies need the ground-truth factor to track the distance")
-        if policy.sigma_r_source == SIGMA_FROM_XSTAR:
+        if policy.kind == ADAPTIVE_EXACT:
             sigma_r = problem.sigma_r_xstar
         else:
             sigma_r = sigma_min_positive(problem.u0) ** 2
-    return RunState(eta0=eta0, sigma_r=sigma_r, g0=start.g)
+    return RunState(eta0=eta0, sigma_r=sigma_r, g0=g0)
 
 
 def step(u, policy: StepPolicy, problem: Problem, *,
-         state: RunState | None = None, k: int = 0, delta_rng=None):
+         state: RunState | None = None, k: int = 0, delta_rng=None, audit=None):
     """One update U - eta * grad f(U U^T) @ U under the given policy.
 
     Returns (next factor, record of the current iterate). state carries the
     run-level constants; passing None recomputes them from the problem.
-    Raises NumericalBlowupError when the iterate or the update is not finite.
+    When audit is a list, the check data of the current iterate (see
+    ``_check_data``) is appended to it once the update is known to be
+    finite; an exact step lends it its own eta_local. Raises
+    NumericalBlowupError when the iterate or the update is not finite.
     """
     if state is None:
         state = prepare(problem, policy)
     point = _evaluate(problem, u, k)
 
-    eta_k, delta = state.eta0, 0.0
+    eta_k, delta, local = state.eta0, 0.0, None
     if policy.kind != FIXED_FGD:
         if policy.delta_rho > 0.0:
             if delta_rng is None:
                 raise ValueError("delta_rho > 0 requires a delta_rng")
             delta = policy.delta_rho * point.dist_sq * float(delta_rng.uniform(-1.0, 1.0))
         exact = policy.kind == ADAPTIVE_EXACT
-        local = stepsize.eta_local(problem.M, point.grad, point.u) if exact else 0.0
-        ctx = StepContext(eta_fixed=state.eta0, eta_local=local, m=problem.m,
+        local = stepsize.eta_local(problem.M, point.grad, point.u) if exact else None
+        ctx = StepContext(eta_fixed=state.eta0, eta_local=local or 0.0, m=problem.m,
                           sigma_r=state.sigma_r, dist_sq=point.dist_sq,
                           grad_norm_sq=point.grad_norm_sq, delta=delta,
                           grad_floor=stepsize.grad_floor(point.u))
         eta_k = stepsize.eta_estimated(ctx) if exact else stepsize.eta_practical(ctx)
-    eta_k *= policy.eta_scale
 
     if state.g0 > 0.0:
         rel = point.g / state.g0
@@ -338,30 +351,35 @@ def step(u, policy: StepPolicy, problem: Problem, *,
         u_next = point.u - eta_k * point.direction
     if not np.all(np.isfinite(u_next)):
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
+    if audit is not None:
+        audit.append(_check_data(problem, point, state.eta0, local))
     return u_next, record
 
 
 def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
-        rel_tol: float = 1e-8, *, delta_seed=0, keep_iterates: bool = False) -> Trajectory:
+        rel_tol: float = 1e-8, *, delta_seed=0, audit: bool = False) -> Trajectory:
     """Iterate until rel_error <= rel_tol, the gradient is numerically
     stationary, the update blows up, or max_iters transitions have been taken.
 
     delta_seed feeds the synthetic distance-estimation noise when the policy
     requests it; identical seeds and configuration reproduce the trajectory
-    exactly."""
+    exactly. audit=True keeps the check data of every recorded iterate in
+    Trajectory.audit (needs the ground truth)."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:  # also rejects NaN
         raise ValueError("rel_tol must be positive")
     state = prepare(problem, policy)
     delta_rng = np.random.default_rng(delta_seed)
     u = np.array(problem.u0, dtype=float)
     records: list[IterateRecord] = []
-    iterates: list[np.ndarray] | None = [] if keep_iterates else None
+    entries: list | None = [] if audit else None
     terminated = TERMINATED_MAX_ITERS
     for k in range(max_iters + 1):
         try:
-            u_next, record = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng)
+            u_next, record = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng,
+                                  audit=entries)
+            # cannot raise once step has audited u: its grad_floor took this scale
             stationary = record.grad_norm_sq < _STOP_FLOOR * _gradient_scale(u)
         except NumericalBlowupError:
             if not records:
@@ -369,8 +387,6 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
             terminated = TERMINATED_DIVERGED
             break
         records.append(record)
-        if iterates is not None:
-            iterates.append(u.copy())
         if record.rel_error <= rel_tol:
             terminated = TERMINATED_TOLERANCE
             break
@@ -378,4 +394,4 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
             terminated = TERMINATED_STATIONARY
             break
         u = u_next
-    return Trajectory(records=records, terminated=terminated, iterates=iterates)
+    return Trajectory(records=records, terminated=terminated, audit=entries)

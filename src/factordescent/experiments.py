@@ -20,6 +20,7 @@ recovers the exact binary values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,8 +61,10 @@ class ExperimentConfig:
     """One benchmark run: instance dimensions, seed, start, policies, budgets.
 
     init_param is the safety factor (fraction of the start radius) for a
-    near start and the entry scale for a far one. delta_rho is forwarded to
-    the adaptive policies as the synthetic estimation-noise amplitude.
+    near start and the entry scale for a far one; a far scale s must keep
+    the width 2 s of its uniform law finite. delta_rho is forwarded to the
+    adaptive policies as the synthetic estimation-noise amplitude, so it
+    needs at least one of them.
     """
 
     n: int
@@ -81,10 +84,12 @@ class ExperimentConfig:
             raise ValueError(f"need n >= r >= 1, got n={self.n}, r={self.r}")
         if self.init_kind not in (INIT_NEAR, INIT_FAR):
             raise ValueError(f"unknown init kind {self.init_kind!r}")
-        if self.init_param <= 0.0:
-            raise ValueError("init_param must be positive")
+        if not self.init_param > 0.0:  # also rejects NaN
+            raise ValueError(f"init_param must be positive, got {self.init_param}")
         if self.init_kind == INIT_NEAR and self.init_param > 1.0:
             raise ValueError("near-start safety factor must lie in (0, 1]")
+        if not math.isfinite(2.0 * self.init_param):
+            raise ValueError(f"far-start scale {self.init_param} overflows the range 2 * scale")
         if not self.policies:
             raise ValueError("at least one policy is required")
         for name in self.policies:
@@ -92,10 +97,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown policy {name!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError("rel_tol must be positive and finite")
         if not 0.0 <= self.delta_rho <= 0.5:
             raise ValueError("delta_rho must lie in [0, 1/2]")
+        if self.delta_rho > 0.0 and all(name == FIXED_FGD for name in self.policies):
+            raise ValueError("delta_rho > 0 needs an adaptive policy")
 
     def describe_init(self) -> str:
         return f"{self.init_kind}:{self.init_param}"
@@ -116,8 +123,8 @@ class RunArtifact:
 
 
 def policy_from_name(name: str, delta_rho: float = 0.0) -> StepPolicy:
-    """CLI policy names to StepPolicy values. The exact policy reads sigma_r
-    off X*, the practical one off X0; delta_rho applies to both adaptives."""
+    """CLI policy names to StepPolicy values; delta_rho applies to both
+    adaptives."""
     if name == FIXED_FGD:
         return StepPolicy.fixed()
     if name == ADAPTIVE_EXACT:
@@ -164,18 +171,17 @@ def run_comparison(config: ExperimentConfig) -> RunArtifact:
     problem = generate_instance(config)
     _, _, delta_ss = _seed_streams(config.seed)
     artifact = RunArtifact(config=config, problem=problem)
-    keep = config.checks_enabled and problem.u_star is not None
+    audit = config.checks_enabled and problem.u_star is not None
     for label, name in zip(_unique_labels(config.policies), config.policies):
         policy = policy_from_name(name, config.delta_rho)
         try:
             traj = run(problem, policy, max_iters=config.max_iters,
-                       rel_tol=config.rel_tol, delta_seed=delta_ss,
-                       keep_iterates=keep)
+                       rel_tol=config.rel_tol, delta_seed=delta_ss, audit=audit)
         except FactorDescentError as exc:
             artifact.failures[label] = str(exc)
             continue
         artifact.trajectories[label] = traj
-        if keep:
+        if audit:
             artifact.reports[label] = trajectory_reports(problem, traj)
     artifact.summary = _summarize(artifact)
     return artifact

@@ -34,8 +34,6 @@ __all__ = [
     "ADAPTIVE_EXACT",
     "ADAPTIVE_PRACTICAL",
     "POLICY_KINDS",
-    "SIGMA_FROM_XSTAR",
-    "SIGMA_FROM_X0",
     "StepPolicy",
     "StepContext",
     "eta_fixed",
@@ -51,61 +49,38 @@ ADAPTIVE_EXACT = "adaptive-exact"
 ADAPTIVE_PRACTICAL = "adaptive-practical"
 POLICY_KINDS = (FIXED_FGD, ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL)
 
-SIGMA_FROM_XSTAR = "xstar"
-SIGMA_FROM_X0 = "x0"
-SIGMA_SOURCES = (SIGMA_FROM_XSTAR, SIGMA_FROM_X0)
-
 
 @dataclass(frozen=True)
 class StepPolicy:
     """How the per-iteration step length is chosen.
 
+    The exact policy reads sigma_r off X*, the practical one off X0.
     ``delta_rho > 0`` switches the distance term to a synthetic estimate: at
     each iteration the true squared distance D2 is replaced by D2 + delta
     with delta = delta_rho * D2 * u, u ~ Uniform(-1, 1), so the estimation
     error never exceeds half of D2 when delta_rho <= 1/2.
-
-    ``eta_override`` (fixed kind only) forces a literal constant step and
-    ``eta_scale`` multiplies whatever step the rule produced; both exist for
-    hand-checked examples and stress experiments.
     """
 
     kind: str
-    sigma_r_source: str = SIGMA_FROM_XSTAR
     delta_rho: float = 0.0
-    eta_override: float | None = None
-    eta_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.sigma_r_source not in SIGMA_SOURCES:
-            raise ValueError(f"unknown sigma_r source {self.sigma_r_source!r}")
         if not 0.0 <= self.delta_rho <= 0.5:
             raise ValueError("delta_rho must lie in [0, 1/2]")
-        if self.eta_override is not None:
-            if self.kind != FIXED_FGD:
-                raise ValueError("eta_override only applies to the fixed policy")
-            if self.eta_override <= 0.0:
-                raise ValueError("eta_override must be positive")
-        if self.eta_scale <= 0.0:
-            raise ValueError("eta_scale must be positive")
 
     @classmethod
-    def fixed(cls, eta_override=None, eta_scale=1.0) -> "StepPolicy":
-        return cls(kind=FIXED_FGD, eta_override=eta_override, eta_scale=eta_scale)
+    def fixed(cls) -> "StepPolicy":
+        return cls(kind=FIXED_FGD)
 
     @classmethod
-    def adaptive_exact(cls, sigma_r_source=SIGMA_FROM_XSTAR, delta_rho=0.0,
-                       eta_scale=1.0) -> "StepPolicy":
-        return cls(kind=ADAPTIVE_EXACT, sigma_r_source=sigma_r_source,
-                   delta_rho=delta_rho, eta_scale=eta_scale)
+    def adaptive_exact(cls, delta_rho=0.0) -> "StepPolicy":
+        return cls(kind=ADAPTIVE_EXACT, delta_rho=delta_rho)
 
     @classmethod
-    def adaptive_practical(cls, sigma_r_source=SIGMA_FROM_X0, delta_rho=0.0,
-                           eta_scale=1.0) -> "StepPolicy":
-        return cls(kind=ADAPTIVE_PRACTICAL, sigma_r_source=sigma_r_source,
-                   delta_rho=delta_rho, eta_scale=eta_scale)
+    def adaptive_practical(cls, delta_rho=0.0) -> "StepPolicy":
+        return cls(kind=ADAPTIVE_PRACTICAL, delta_rho=delta_rho)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            ExperimentConfig, StepContext, StepPolicy,
                            check_local_step_floor, check_optimal_step, dist,
                            init_near, make_problem, matrix_factorization,
-                           mf_grad, mf_value, run, run_comparison,
+                           mf_grad, mf_value, prepare, run, run_comparison, step,
                            step_context_at, trajectory_reports)
 from factordescent.cli import main
 
@@ -46,7 +46,7 @@ def near_fgd_runs():
     for seed in range(50):
         problem = near_instance(50, 3, 10_000 + seed)
         traj = run(problem, StepPolicy.fixed(), max_iters=500, rel_tol=1e-8,
-                   keep_iterates=True)
+                   audit=True)
         out.append((problem, traj, trajectory_reports(problem, traj)))
     return out
 
@@ -60,7 +60,7 @@ def near_estimated_runs():
         problem = near_instance(50, 3, 20_000 + seed)
         policy = StepPolicy.adaptive_exact(delta_rho=0.5)
         traj = run(problem, policy, max_iters=500, rel_tol=1e-8,
-                   delta_seed=seed, keep_iterates=True)
+                   delta_seed=seed, audit=True)
         out.append((problem, traj, trajectory_reports(problem, traj)))
     return out
 
@@ -108,9 +108,12 @@ def test_c03_local_step_floor_sweep():
         r = (i % 3) + 1
         problem = near_instance(50, r, 30_000 + i)
         # at the start and again after ten fixed steps
-        traj = run(problem, StepPolicy.fixed(), max_iters=10, rel_tol=1e-300,
-                   keep_iterates=True)
-        for u in (traj.iterates[0], traj.iterates[-1]):
+        policy = StepPolicy.fixed()
+        state = prepare(problem, policy)
+        u10 = problem.u0
+        for k in range(10):
+            u10, _ = step(u10, policy, problem, state=state, k=k)
+        for u in (problem.u0, u10):
             rep = check_local_step_floor(problem, u)
             ok = ok and rep.applicable and rep.holds
             worst = min(worst, rep.slack)

@@ -9,8 +9,9 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            StepPolicy, check_contraction, check_descent_bound,
                            check_local_step_floor, check_optimal_step,
                            check_regularity, dist_sq_upper_bound, eta_estimated,
-                           init_near, make_problem, matrix_factorization, run,
-                           step_context_at, trajectory_reports)
+                           init_near, make_problem, matrix_factorization, prepare,
+                           run, step, step_context_at, trajectory_reports)
+from factordescent import bounds, descent, stepsize
 from factordescent.bounds import CONTRACTION_VARIANTS
 
 
@@ -25,8 +26,19 @@ def make_instance(n=20, r=2, seed=0, safety=0.5):
 def near_run(problem, policy, **kwargs):
     kwargs.setdefault("max_iters", 300)
     kwargs.setdefault("rel_tol", 1e-8)
-    kwargs.setdefault("keep_iterates", True)
+    kwargs.setdefault("audit", True)
     return run(problem, policy, **kwargs)
+
+
+def iterates(problem, policy, count, delta_seed=0):
+    """U_0, ..., U_{count-1} rebuilt with a manual step loop, as run makes them."""
+    state = prepare(problem, policy)
+    delta_rng = np.random.default_rng(delta_seed)
+    u = np.array(problem.u0, dtype=float)
+    for k in range(count):
+        yield u
+        if k < count - 1:
+            u, _ = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng)
 
 
 class TestLocalStepFloor:
@@ -61,8 +73,8 @@ class TestRegularity:
     @pytest.mark.parametrize("seed", range(10))
     def test_holds_along_near_runs(self, seed):
         problem = make_instance(n=25, r=3, seed=200 + seed)
-        traj = near_run(problem, StepPolicy.fixed())
-        for k, u in enumerate(traj.iterates):
+        traj = near_run(problem, StepPolicy.fixed(), audit=False)
+        for k, u in enumerate(iterates(problem, StepPolicy.fixed(), len(traj.records))):
             report = check_regularity(problem, u, k=k)
             assert report.applicable and report.holds
 
@@ -112,12 +124,15 @@ class TestDescentBound:
             report = check_descent_bound(problem, traj, k)
             assert report.applicable and report.holds
 
-    def test_huge_step_still_bounded(self):
+    def test_huge_step_still_bounded(self, monkeypatch):
         # descent fails with a 100x step, but the quadratic bound is valid
         # for any step length inside the radius
         problem = make_instance(n=25, r=2, seed=301)
-        policy = StepPolicy.adaptive_exact(eta_scale=100.0)
-        traj = run(problem, policy, max_iters=3, rel_tol=1e-15, keep_iterates=True)
+        with monkeypatch.context() as patch:
+            exact_rule = stepsize.eta_estimated
+            patch.setattr(stepsize, "eta_estimated", lambda ctx: 100.0 * exact_rule(ctx))
+            traj = run(problem, StepPolicy.adaptive_exact(), max_iters=3, rel_tol=1e-15,
+                       audit=True)
         grew = False
         for k in range(len(traj.records) - 1):
             report = check_descent_bound(problem, traj, k)
@@ -191,10 +206,12 @@ class TestContraction:
 
     def test_fixed_check_not_applicable_to_scaled_steps(self):
         problem = make_instance(n=25, r=2, seed=703)
-        traj = run(problem, StepPolicy.fixed(eta_scale=7.0), max_iters=3,
-                   rel_tol=1e-15, keep_iterates=True)
-        report = check_contraction(problem, traj, 0, "fixed")
-        assert not report.applicable
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=3, rel_tol=1e-15)
+        assert check_contraction(problem, traj, 0, "fixed").applicable
+        records = list(traj.records)
+        records[0] = dataclasses.replace(records[0], eta=7.0 * records[0].eta)
+        scaled = dataclasses.replace(traj, records=records)
+        assert not check_contraction(problem, scaled, 0, "fixed").applicable
 
 
 class TestOptimalStep:
@@ -245,15 +262,18 @@ class TestTrajectoryReports:
 
 
 class TestSinglePass:
-    """The public checks are selections from the one evaluation that
-    trajectory_reports makes, and the merged checks can fail."""
+    """The checks read the run's own evaluation of each iterate: the public
+    checks are selections from the rows trajectory_reports builds off the
+    audit, nothing is evaluated again, and the merged checks can fail."""
 
     def test_selectors_match_trajectory_reports(self):
         problem = make_instance(n=25, r=3, seed=1000)
-        traj = near_run(problem, StepPolicy.adaptive_exact())
+        policy = StepPolicy.adaptive_exact(delta_rho=0.5)
+        traj = near_run(problem, policy, delta_seed=4)
         rows = {(rep.k, rep.name): rep for rep in trajectory_reports(problem, traj)}
         last = len(traj.records) - 1
-        for k, u in enumerate(traj.iterates):
+        # the point checks evaluate U_k afresh; the rows read the run's audit
+        for k, u in enumerate(iterates(problem, policy, len(traj.records), delta_seed=4)):
             assert check_local_step_floor(problem, u, k=k) == rows[k, CHECK_LOCAL_STEP_FLOOR]
             assert check_regularity(problem, u, k=k) == rows[k, CHECK_REGULARITY]
             if k == last:
@@ -266,8 +286,33 @@ class TestSinglePass:
             assert rows[k, CHECK_OPTIMAL_STEP].applicable == (
                 ctx.grad_norm_sq > ctx.grad_floor)
 
+    def test_trajectory_checks_evaluate_nothing(self, monkeypatch):
+        problem = make_instance(n=25, r=3, seed=1004)
+        traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=0.5))
+        calls = []
+
+        def spy(name, fn):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return called
+
+        for module in (descent, bounds):  # bounds imports both by name
+            for name in ("_evaluate", "prepare"):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        monkeypatch.setattr(stepsize, "eta_local", spy("eta_local", stepsize.eta_local))
+        reports = trajectory_reports(problem, traj)
+        for k in range(len(traj.records) - 1):
+            check_contraction(problem, traj, k, "adaptive")
+            check_descent_bound(problem, traj, k)
+            step_context_at(problem, traj, k)
+        assert reports and calls == []
+        # the spies do see the evaluation of a point check
+        check_regularity(problem, problem.u0)
+        assert {"_evaluate", "eta_local"} <= set(calls)
+
     def test_checks_and_engine_share_the_evaluation(self):
-        # the checks rebuild each iterate through the engine's evaluator, so
+        # the audit keeps the engine's own evaluation of each iterate, so
         # its distance and its step agree with the records to the bit
         problem = make_instance(n=25, r=3, seed=1003)
         traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=0.5))

@@ -23,6 +23,16 @@ class TestUsage:
     def test_out_of_range_safety_exits_2(self):
         assert main(["run", "--init", "near:2.0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--init", "far:nan"], ["--init", "far:inf"], ["--init", "far:1e308"],
+        ["--init", "near:nan"], ["--rel-tol", "nan"],
+        ["--policy", "fgd", "--delta-rho", "0.25"],
+    ])
+    def test_unusable_value_exits_2(self, argv, tmp_path, capsys):
+        assert main(["run", "--n", "10", "--out", str(tmp_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from factordescent import (MissingGroundTruthError, NumericalBlowupError, StepPolicy,
-                           TERMINATED_TOLERANCE, check_init_condition, dist,
+                           TERMINATED_DIVERGED, TERMINATED_TOLERANCE,
+                           check_init_condition, check_local_step_floor, dist,
                            init_far, init_near, make_problem,
                            matrix_factorization, prepare, run,
-                           sigma_min_positive, start_radius, step,
-                           within_start_radius)
+                           sigma_min_positive, start_radius, step, stepsize)
 
 from oracles import random_orthonormal
 
@@ -17,6 +17,15 @@ def make_instance(n=20, r=2, seed=0, safety=0.5):
     objective = matrix_factorization(u_star @ u_star.T)
     u0 = init_near(u_star, seed + 1, safety=safety, kappa=objective.kappa)
     return make_problem(objective, u0, u_star=u_star)
+
+
+def diverging_run(monkeypatch, **kwargs):
+    # a million-fold anchored step makes every fixed run blow up; the fresh
+    # instance computes its anchor under the patch
+    problem = make_instance(seed=37)
+    with monkeypatch.context() as patch:
+        patch.setattr(stepsize, "eta_fixed", lambda M, x0, grad0: 1e6)
+        return run(problem, StepPolicy.fixed(), max_iters=50, rel_tol=1e-12, **kwargs)
 
 
 class TestProblem:
@@ -135,15 +144,14 @@ class TestStep:
         np.testing.assert_array_equal(u_next, u)
 
     def test_hand_computed_scalar_step(self):
-        # n = r = 1, A = [[1]], U = [[2]], eta = 1/64:
-        # X = 4, grad = 2 (4 - 1) = 6, direction = 12, U' = 2 - 12/64
+        # n = r = 1, A = [[1]], U0 = [[2]]: X = 4, grad = 2 (4 - 1) = 6,
+        # direction = 12, eta0 = 1 / (16 (2 * 4 + 6)) = 1/224, U' = 2 - 12/224
         objective = matrix_factorization([[1.0]])
         u = np.array([[2.0]])
         problem = make_problem(objective, u, u_star=np.array([[1.0]]))
-        policy = StepPolicy.fixed(eta_override=1.0 / 64.0)
-        u_next, record = step(u, policy, problem)
-        assert u_next[0, 0] == pytest.approx(1.8125, abs=0)
-        assert record.eta == 1.0 / 64.0
+        u_next, record = step(u, StepPolicy.fixed(), problem)
+        assert record.eta == pytest.approx(1.0 / 224.0, rel=1e-15)
+        assert u_next[0, 0] == pytest.approx(2.0 - 12.0 / 224.0, rel=1e-15)
         assert record.grad_norm_sq == pytest.approx(144.0)
 
     def test_monotone_descent_from_near_start(self):
@@ -200,12 +208,17 @@ class TestRun:
         two = run(problem, policy, max_iters=80, rel_tol=1e-9, delta_seed=6)
         assert one.records != two.records
 
-    def test_keep_iterates_aligns_with_records(self):
+    def test_audit_aligns_with_records(self, monkeypatch):
         problem = make_instance(seed=34)
-        traj = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12,
-                   keep_iterates=True)
-        assert len(traj.iterates) == len(traj.records)
-        np.testing.assert_array_equal(traj.iterates[0], problem.u0)
+        traj = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12, audit=True)
+        assert len(traj.audit) == len(traj.records)
+        assert traj.audit[0][0].dist_sq == traj.records[0].dist_sq
+        unaudited = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12)
+        assert unaudited.audit is None and unaudited.records == traj.records
+        # a run that blows up keeps no entry for the iterate it could not leave
+        diverged = diverging_run(monkeypatch, audit=True)
+        assert diverged.terminated == TERMINATED_DIVERGED
+        assert len(diverged.audit) == len(diverged.records)
 
     def test_rotation_equivariance(self):
         problem = make_instance(n=25, r=2, seed=35)
@@ -213,19 +226,16 @@ class TestRun:
         rot = random_orthonormal(rng, 2)
         rotated = make_problem(problem.objective, problem.u0 @ rot,
                                u_star=problem.u_star)
-        base = run(problem, StepPolicy.fixed(), max_iters=60, rel_tol=1e-14,
-                   keep_iterates=True)
-        other = run(rotated, StepPolicy.fixed(), max_iters=60, rel_tol=1e-14,
-                    keep_iterates=True)
-        n_steps = min(len(base), len(other))
-        for k in range(n_steps):
-            gb, go = base.records[k].g_value, other.records[k].g_value
-            assert go == pytest.approx(gb, rel=1e-9, abs=1e-30)
-            db, do = base.records[k].dist_sq, other.records[k].dist_sq
-            assert do == pytest.approx(db, rel=1e-9, abs=1e-15)
+        policy = StepPolicy.fixed()
+        base, other = problem.u0, rotated.u0
+        base_state, other_state = prepare(problem, policy), prepare(rotated, policy)
+        for k in range(60):
             # iterates themselves match after undoing the rotation
-            np.testing.assert_allclose(other.iterates[k] @ rot.T, base.iterates[k],
-                                       rtol=1e-7, atol=1e-10)
+            np.testing.assert_allclose(other @ rot.T, base, rtol=1e-7, atol=1e-10)
+            base, rb = step(base, policy, problem, state=base_state, k=k)
+            other, ro = step(other, policy, rotated, state=other_state, k=k)
+            assert ro.g_value == pytest.approx(rb.g_value, rel=1e-9, abs=1e-30)
+            assert ro.dist_sq == pytest.approx(rb.dist_sq, rel=1e-9, abs=1e-15)
 
     def test_stationary_termination_at_exact_solution(self):
         rng = np.random.default_rng(36)
@@ -237,13 +247,10 @@ class TestRun:
         assert traj.records[0].rel_error == 1.0
         assert traj.terminated in ("stationary", "tolerance")
 
-    def test_diverges_with_huge_override(self):
-        problem = make_instance(seed=37)
-        policy = StepPolicy.fixed(eta_override=1e6)
-        traj = run(problem, policy, max_iters=50, rel_tol=1e-12)
-        assert traj.terminated == "diverged"
+    def test_diverges_with_huge_override(self, monkeypatch):
+        assert diverging_run(monkeypatch).terminated == TERMINATED_DIVERGED
 
-    @pytest.mark.parametrize("policy", [StepPolicy.fixed(eta_override=1e-300),
+    @pytest.mark.parametrize("policy", [StepPolicy.fixed(),
                                         StepPolicy.adaptive_practical()])
     def test_overflowing_gradient_scale_is_a_blowup(self, policy):
         # g is finite (about 1.3e308) but ||U0||_F^4 overflows a float
@@ -258,14 +265,22 @@ class TestRun:
 class TestWithinStartRadius:
     def test_iterates_stay_inside_from_near_start(self):
         problem = make_instance(n=30, r=2, seed=38)
-        traj = run(problem, StepPolicy.fixed(), max_iters=100, rel_tol=1e-9,
-                   keep_iterates=True)
-        assert all(within_start_radius(problem, u) for u in traj.iterates)
+        traj = run(problem, StepPolicy.fixed(), max_iters=100, rel_tol=1e-9, audit=True)
+        assert all(inside for _, _, inside in traj.audit)
+        # the audit's flag is the radius test a point check applies
+        radius = check_init_condition(problem).rhs
+        far = np.random.default_rng(5).uniform(-1.0, 1.0, problem.u0.shape)
+        for u, inside in ((problem.u0, True), (far, False)):
+            assert (dist(u, problem.u_star) <= radius) == inside
+            assert check_local_step_floor(problem, u).applicable == inside
 
-    def test_no_ground_truth_is_never_inside(self):
+    def test_audit_requires_ground_truth(self):
         problem = make_instance(seed=39)
         blind = make_problem(problem.objective, problem.u0)
-        assert not within_start_radius(blind, problem.u0)
+        with pytest.raises(MissingGroundTruthError):
+            run(blind, StepPolicy.fixed(), max_iters=5, audit=True)
+        with pytest.raises(MissingGroundTruthError):
+            check_local_step_floor(blind, problem.u0)
 
 
 class TestPrepare:

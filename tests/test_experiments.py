@@ -38,6 +38,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(init_kind="near", init_param=2.0)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(init_kind="far", init_param=float("nan")),
+        dict(init_kind="far", init_param=float("inf")),
+        dict(init_kind="far", init_param=1e308),  # 2 * scale overflows
+        dict(init_kind="near", init_param=float("nan")),
+        dict(rel_tol=float("nan")),
+        dict(rel_tol=float("inf")),
+        dict(policies=("fgd",), delta_rho=0.25),  # no policy reads the noise
+    ])
+    def test_rejects_unusable_values(self, overrides):
+        with pytest.raises(ValueError):
+            small_config(**overrides)
+
+    def test_accepts_large_finite_far_scale(self):
+        assert small_config(init_kind="far", init_param=1e77).init_param == 1e77
+
 
 class TestGenerateInstance:
     def test_deterministic(self):
@@ -95,6 +111,22 @@ class TestRunComparison:
             entry = art.summary["checks"][label]
             assert entry["applicable"] > 0
             assert entry["failures"] == 0
+
+    def test_one_anchored_step_per_instance(self, monkeypatch):
+        # eta_fixed takes two n x n SVDs; every policy of a comparison, and
+        # the checks, share the one computed for the instance
+        from factordescent import stepsize
+        calls = []
+        original = stepsize.eta_fixed
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(stepsize, "eta_fixed", counted)
+        art = run_comparison(small_config(checks_enabled=True))
+        assert set(art.trajectories) == {"fgd", "adaptive-practical"}
+        assert len(calls) == 1
 
     def test_duplicate_policy_labels(self):
         art = run_comparison(small_config(policies=("fgd", "fgd")))
@@ -199,7 +231,6 @@ class TestPolicyFromName:
     def test_known_names(self):
         assert policy_from_name("fgd").kind == "fgd"
         assert policy_from_name("adaptive-exact", 0.25).delta_rho == 0.25
-        assert policy_from_name("adaptive-practical").sigma_r_source == "x0"
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -175,10 +175,6 @@ class TestStepPolicy:
         with pytest.raises(ValueError):
             StepPolicy.adaptive_exact(delta_rho=0.75)
 
-    def test_override_only_for_fixed(self):
-        with pytest.raises(ValueError):
-            StepPolicy(kind="adaptive-exact", eta_override=0.1)
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             StepPolicy(kind="momentum")
