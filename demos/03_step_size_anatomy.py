@@ -15,23 +15,21 @@ from dataclasses import replace
 import numpy as np
 
 from factordescent import (StepContext, dist, eta_estimated, eta_fixed,
-                           eta_local, eta_optimal, eta_practical,
-                           factored_gradient, init_near, matrix_factorization,
-                           sigma_min_positive)
+                           eta_local, eta_optimal, eta_practical, init_near,
+                           matrix_factorization, sigma_min_positive)
 
 rng = np.random.default_rng(2)
 n, r = 40, 2
 
 u_star = rng.uniform(-1.0, 1.0, (n, r))
-objective = matrix_factorization(u_star @ u_star.T)
+objective = matrix_factorization(target_factor=u_star)
 u0 = init_near(u_star, seed=7, safety=0.5)
 
-x0 = u0 @ u0.T
-grad0 = objective.grad(x0)
-direction = factored_gradient(objective, u0)
-
-eta0 = eta_fixed(objective.M, x0, grad0)
-local = eta_local(objective.M, grad0, u0)
+# the spectral norms of X0 = U0 U0^T and of its gradient, read off the QR
+# core of [U0, U*] rather than n x n matrices
+start = objective.evaluate(u0)
+eta0 = eta_fixed(objective.M, start.x_norm, start.grad_norm)
+local = eta_local(objective.M, start.x_norm, start.projected_grad_norm)
 print(f"eta_fixed  = {eta0:.6e}")
 print(f"eta_local  = {local:.6e}   (>= eta_fixed at X0: {local >= eta0})")
 
@@ -41,7 +39,7 @@ ctx = StepContext(
     m=objective.m,
     sigma_r=sigma_min_positive(u_star) ** 2,
     dist_sq=dist(u0, u_star) ** 2,
-    grad_norm_sq=float(np.sum(direction * direction)),
+    grad_norm_sq=start.grad_norm_sq,
 )
 print(f"eta_optimal   = {eta_optimal(ctx):.6e}")
 print(f"eta_practical = {eta_practical(ctx):.6e}")

@@ -13,14 +13,13 @@ convergence analysis, and a benchmark harness with a CLI.
 """
 
 from .errors import (DegenerateProblemError, FactorDescentError,
-                     MissingGroundTruthError, NegativeEstimateError,
+                     InvalidMatrixError, MissingGroundTruthError, NegativeEstimateError,
                      NumericalBlowupError, ShapeMismatchError,
                      ZeroGradientError, ZeroMatrixError)
 from .geometry import (as_factor, as_matrix, column_space_projector, dist,
                        frobenius_norm, orthonormality_defect, procrustes_align,
                        sigma_min_positive, singular_values, spectral_norm)
-from .objectives import (Objective, factored_gradient, g_value,
-                         matrix_factorization, mf_constants, mf_grad, mf_value)
+from .objectives import Objective, matrix_factorization, mf_grad, mf_value
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
                        StepContext, StepPolicy, eta_estimated, eta_fixed,
                        eta_local, eta_optimal, eta_practical, grad_floor)
@@ -43,14 +42,13 @@ from .experiments import (ExperimentConfig, RunArtifact, export_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactorDescentError", "ShapeMismatchError", "ZeroMatrixError",
+    "FactorDescentError", "InvalidMatrixError", "ShapeMismatchError", "ZeroMatrixError",
     "DegenerateProblemError", "ZeroGradientError", "NegativeEstimateError",
     "MissingGroundTruthError", "NumericalBlowupError",
     "as_matrix", "as_factor", "frobenius_norm", "spectral_norm",
     "singular_values", "sigma_min_positive", "column_space_projector",
     "procrustes_align", "dist", "orthonormality_defect",
-    "Objective", "matrix_factorization", "mf_value", "mf_grad", "mf_constants",
-    "g_value", "factored_gradient",
+    "Objective", "matrix_factorization", "mf_value", "mf_grad",
     "FIXED_FGD", "ADAPTIVE_EXACT", "ADAPTIVE_PRACTICAL",
     "StepPolicy", "StepContext", "eta_fixed", "eta_local", "eta_optimal",
     "eta_estimated", "eta_practical", "grad_floor",

@@ -34,36 +34,13 @@ public ``check_*`` functions select their report from those rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import stepsize
 from .descent import Problem, Trajectory, _check_data, _evaluate, prepare
 from .stepsize import StepContext, StepPolicy
-
-__all__ = [
-    "TOL_ABS",
-    "TOL_REL",
-    "CHECK_LOCAL_STEP_FLOOR",
-    "CHECK_REGULARITY",
-    "CHECK_DESCENT_QUADRATIC",
-    "CHECK_CONTRACTION_FIXED",
-    "CHECK_CONTRACTION_ADAPTIVE",
-    "CHECK_CONTRACTION_EXACT_LOCAL",
-    "CHECK_CONTRACTION_EXACT_OPTIMAL",
-    "CHECK_OPTIMAL_STEP",
-    "CONTRACTION_VARIANTS",
-    "InequalityReport",
-    "make_report",
-    "check_local_step_floor",
-    "check_regularity",
-    "dist_sq_upper_bound",
-    "check_descent_bound",
-    "check_contraction",
-    "check_optimal_step",
-    "step_context_at",
-    "trajectory_reports",
-]
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -124,12 +101,29 @@ def _bound(ctx: StepContext, eta):
                                eta_local=ctx.eta_local, m=ctx.m, sigma_r=ctx.sigma_r)
 
 
+@lru_cache(maxsize=256)
+def _unit_draws(random_draws: int, seed) -> np.ndarray:
+    draws = np.random.default_rng(seed).random(random_draws)
+    draws.flags.writeable = False  # shared by every caller
+    return draws
+
+
+def _step_sample(eta_opt: float, grid_points: int, random_draws: int, seed) -> np.ndarray:
+    """linspace(0, 2 eta*, grid_points) and then uniform(0, 2 eta*,
+    random_draws) from a fresh generator on seed, bit for bit, with the unit
+    draws made once per (random_draws, seed)."""
+    top = 2.0 * eta_opt
+    grid = np.arange(grid_points) * (top / max(grid_points - 1, 1))
+    if grid_points > 1:
+        grid[-1] = top  # linspace's exact endpoint
+    return np.concatenate([grid, top * _unit_draws(random_draws, seed)])
+
+
 def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, grid_points: int = 41,
                          random_draws: int = 20, seed=0, tol: float = 1e-12) -> InequalityReport:
     """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
     uniform draws; applicable while the gradient is above its floor."""
-    draws = np.random.default_rng(seed).uniform(0.0, 2.0 * eta_opt, random_draws)
-    etas = np.concatenate([np.linspace(0.0, 2.0 * eta_opt, grid_points), draws])
+    etas = _step_sample(eta_opt, grid_points, random_draws, seed)
     return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
                        rhs=float(np.min(_bound(ctx, etas))),
                        applicable=ctx.grad_norm_sq > ctx.grad_floor,

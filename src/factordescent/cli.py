@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except (FactorDescentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # e.g. the dense n x n target of a huge --n
+    except MemoryError as exc:  # e.g. the n x r arrays of a huge --n
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -22,30 +22,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import stepsize
-from .errors import MissingGroundTruthError, NumericalBlowupError
+from .errors import MissingGroundTruthError, NumericalBlowupError, ShapeMismatchError
 from .geometry import as_factor, dist, procrustes_align, sigma_min_positive, spectral_norm
-from .objectives import Objective
-from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, StepContext, StepPolicy, _gradient_scale
-
-__all__ = [
-    "TERMINATED_TOLERANCE",
-    "TERMINATED_MAX_ITERS",
-    "TERMINATED_STATIONARY",
-    "TERMINATED_DIVERGED",
-    "Problem",
-    "make_problem",
-    "IterateRecord",
-    "Trajectory",
-    "InitCheck",
-    "start_radius",
-    "check_init_condition",
-    "init_near",
-    "init_far",
-    "RunState",
-    "prepare",
-    "step",
-    "run",
-]
+from .objectives import FactoredEvaluation, Objective
+from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, StepContext, StepPolicy
 
 TERMINATED_TOLERANCE = "tolerance"
 TERMINATED_MAX_ITERS = "max_iters"
@@ -86,23 +66,28 @@ class Problem:
     @cached_property
     def _anchor(self) -> tuple[float, float]:
         """(anchored fixed step, g(U0)), computed on first use and shared by
-        every run on this instance: the fixed step takes two n x n SVDs."""
-        start = _evaluate(self, self.u0)
-        return stepsize.eta_fixed(self.M, start.x, start.grad), start.g
+        every run on this instance: the one evaluation of U0, with the
+        spectral norms of X0 and grad f(X0) read off its small QR core."""
+        start = _evaluate(self, self.u0).f
+        return stepsize.eta_fixed(self.M, start.x_norm, start.grad_norm), start.g
 
 
 def make_problem(objective: Objective, u0, u_star=None) -> Problem:
     """Build a Problem, deriving the spectrum of X* from U* when given.
 
     The singular values of X* are the squares of those of U*, so only the
-    cheap n x r decomposition is ever taken.
+    cheap n x r decomposition is ever taken. U0 must have the objective's n
+    rows.
     """
     u0 = as_factor(u0).copy()
+    if u0.shape[0] != objective.basis.shape[0]:
+        raise ShapeMismatchError(f"u0 has {u0.shape[0]} rows, the target "
+                                 f"{objective.basis.shape[0]}")
     sigma_r = sigma1 = None
     if u_star is not None:
         u_star = as_factor(u_star).copy()
         if u_star.shape != u0.shape:
-            raise ValueError(
+            raise ShapeMismatchError(
                 f"u0 and u_star must share a shape: {u0.shape} vs {u_star.shape}")
         sigma_r = sigma_min_positive(u_star) ** 2
         sigma1 = spectral_norm(u_star) ** 2
@@ -114,8 +99,8 @@ def make_problem(objective: Objective, u0, u_star=None) -> Problem:
 class IterateRecord:
     """Snapshot of one iterate: objective value, relative error, squared
     distance to the ground truth (None when unknown), the step used for the
-    outgoing transition, squared gradient norm, and the injected estimation
-    error."""
+    outgoing transition, squared gradient norm, the injected estimation
+    error, and whether the gradient norm is below the stop floor."""
 
     k: int
     g_value: float
@@ -124,6 +109,7 @@ class IterateRecord:
     eta: float
     grad_norm_sq: float
     delta: float
+    stationary: bool = False
 
 
 @dataclass
@@ -245,15 +231,14 @@ class RunState:
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One iterate U: X = U U^T, g = f(X), grad f(X), the direction grad f(X) U
-    and, with a ground truth, the aligned error U - U* R and dist(U, U*)."""
+    """One iterate U: the objective's evaluation f at U (g, the direction
+    grad f(X) U, its squared norm and the spectral norms on demand), the
+    gradient scale max(1, ||U||_F)^4 and, with a ground truth, the aligned
+    error U - U* R and dist(U, U*)."""
 
     u: np.ndarray
-    x: np.ndarray
-    g: float
-    grad: np.ndarray
-    direction: np.ndarray
-    grad_norm_sq: float
+    f: FactoredEvaluation
+    scale: float
     error: np.ndarray | None
     dist: float | None
     dist_sq: float | None
@@ -261,24 +246,25 @@ class _Evaluation:
 
 def _evaluate(problem: Problem, u, k: int = 0) -> _Evaluation:
     """Everything the step rules and the checks read at iterate k. Raises
-    NumericalBlowupError when g or the direction is not finite."""
+    NumericalBlowupError when g, the direction or the gradient scale is not
+    finite."""
     u = as_factor(u)
     # overflow to inf is the divergence signal here, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
-        x = u @ u.T
-        g = float(problem.objective.value(x))
-        grad = problem.objective.grad(x)
-        direction = grad @ u
-        grad_norm_sq = float(np.sum(direction * direction))
-    if not (np.isfinite(g) and np.all(np.isfinite(direction))):
+        f = problem.objective.evaluate(u)
+    if not (np.isfinite(f.g) and np.all(np.isfinite(f.direction))):
         raise NumericalBlowupError(f"objective or direction not finite at iteration {k}")
+    scale = stepsize._gradient_scale(f.r1)  # ||R1||_F = ||U||_F
     error = distance = dist_sq = None
     if problem.u_star is not None:
         error = u - problem.u_star @ procrustes_align(u, problem.u_star)
         distance = float(np.linalg.norm(error))
         dist_sq = distance ** 2
-    return _Evaluation(u=u, x=x, g=g, grad=grad, direction=direction, grad_norm_sq=grad_norm_sq,
-                       error=error, dist=distance, dist_sq=dist_sq)
+    return _Evaluation(u=u, f=f, scale=scale, error=error, dist=distance, dist_sq=dist_sq)
+
+
+def _eta_local(problem: Problem, point: _Evaluation) -> float:
+    return stepsize.eta_local(problem.M, point.f.x_norm, point.f.projected_grad_norm)
 
 
 def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=None):
@@ -288,11 +274,12 @@ def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=Non
     anchored fixed step eta0; eta_local is computed unless given."""
     radius = _problem_radius(problem)  # raises without a ground truth
     if eta_local is None:
-        eta_local = stepsize.eta_local(problem.M, point.grad, point.u)
+        eta_local = _eta_local(problem, point)
     ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.m,
                       sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
-                      grad_norm_sq=point.grad_norm_sq, grad_floor=stepsize.grad_floor(point.u))
-    return ctx, float(np.sum(point.direction * point.error)), point.dist <= radius
+                      grad_norm_sq=point.f.grad_norm_sq,
+                      grad_floor=stepsize._GRAD_FLOOR * point.scale)
+    return ctx, float(np.sum(point.f.direction * point.error)), point.dist <= radius
 
 
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:
@@ -332,23 +319,25 @@ def step(u, policy: StepPolicy, problem: Problem, *,
                 raise ValueError("delta_rho > 0 requires a delta_rng")
             delta = policy.delta_rho * point.dist_sq * float(delta_rng.uniform(-1.0, 1.0))
         exact = policy.kind == ADAPTIVE_EXACT
-        local = stepsize.eta_local(problem.M, point.grad, point.u) if exact else None
+        local = _eta_local(problem, point) if exact else None
         ctx = StepContext(eta_fixed=state.eta0, eta_local=local or 0.0, m=problem.m,
                           sigma_r=state.sigma_r, dist_sq=point.dist_sq,
-                          grad_norm_sq=point.grad_norm_sq, delta=delta,
-                          grad_floor=stepsize.grad_floor(point.u))
+                          grad_norm_sq=point.f.grad_norm_sq, delta=delta,
+                          grad_floor=stepsize._GRAD_FLOOR * point.scale)
         eta_k = stepsize.eta_estimated(ctx) if exact else stepsize.eta_practical(ctx)
 
+    g = point.f.g
     if state.g0 > 0.0:
-        rel = point.g / state.g0
+        rel = g / state.g0
     else:
-        rel = 1.0 if point.g == state.g0 else float("inf")
-    record = IterateRecord(k=int(k), g_value=point.g, rel_error=float(rel),
+        rel = 1.0 if g == state.g0 else float("inf")
+    record = IterateRecord(k=int(k), g_value=g, rel_error=float(rel),
                            dist_sq=point.dist_sq, eta=float(eta_k),
-                           grad_norm_sq=point.grad_norm_sq, delta=float(delta))
+                           grad_norm_sq=point.f.grad_norm_sq, delta=float(delta),
+                           stationary=point.f.grad_norm_sq < _STOP_FLOOR * point.scale)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u_next = point.u - eta_k * point.direction
+        u_next = point.u - eta_k * point.f.direction
     if not np.all(np.isfinite(u_next)):
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
     if audit is not None:
@@ -379,8 +368,6 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
         try:
             u_next, record = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng,
                                   audit=entries)
-            # cannot raise once step has audited u: its grad_floor took this scale
-            stationary = record.grad_norm_sq < _STOP_FLOOR * _gradient_scale(u)
         except NumericalBlowupError:
             if not records:
                 raise
@@ -390,7 +377,7 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
         if record.rel_error <= rel_tol:
             terminated = TERMINATED_TOLERANCE
             break
-        if stationary:
+        if record.stationary:
             terminated = TERMINATED_STATIONARY
             break
         u = u_next

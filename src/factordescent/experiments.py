@@ -2,8 +2,8 @@
 
 Instances follow the standard matrix-factorization benchmark: the entries of
 the ground-truth factor U* are i.i.d. Uniform(-1, 1), the target is
-A = U* U*^T, and the start is either pinned near U* (inside the start
-radius) or drawn independently far from it. All randomness flows from one
+A = U* U*^T (held as its factor U*, never formed), and the start is either
+pinned near U* (inside the start radius) or drawn independently far from it. All randomness flows from one
 64-bit seed through numpy's SeedSequence into PCG64 generators (numpy's
 default_rng), so a config reproduces its instance, its runs, and its output
 files byte for byte.
@@ -32,22 +32,6 @@ from .errors import FactorDescentError
 from .objectives import matrix_factorization
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
                        POLICY_KINDS, StepPolicy)
-
-__all__ = [
-    "INIT_NEAR",
-    "INIT_FAR",
-    "ITERATE_HEADER",
-    "CHECKS_HEADER",
-    "ExperimentConfig",
-    "RunArtifact",
-    "policy_from_name",
-    "generate_instance",
-    "run_comparison",
-    "export_csv",
-    "write_plot_script",
-    "figure_configs",
-    "reproduce_figures",
-]
 
 INIT_NEAR = "near"
 INIT_FAR = "far"
@@ -144,7 +128,7 @@ def generate_instance(config: ExperimentConfig) -> Problem:
     star_ss, init_ss, _ = _seed_streams(config.seed)
     rng = np.random.default_rng(star_ss)
     u_star = rng.uniform(-1.0, 1.0, size=(config.n, config.r))
-    objective = matrix_factorization(u_star @ u_star.T)
+    objective = matrix_factorization(target_factor=u_star)
     if config.init_kind == INIT_NEAR:
         u0 = init_near(u_star, init_ss, safety=config.init_param,
                        kappa=objective.kappa)

@@ -16,21 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError, ZeroMatrixError
-
-__all__ = [
-    "as_matrix",
-    "as_factor",
-    "require_same_shape",
-    "frobenius_norm",
-    "spectral_norm",
-    "singular_values",
-    "sigma_min_positive",
-    "column_space_projector",
-    "procrustes_align",
-    "dist",
-    "orthonormality_defect",
-]
+from .errors import InvalidMatrixError, ShapeMismatchError, ZeroMatrixError
 
 # Absolute floor below which a singular value never counts as positive,
 # regardless of matrix scale.
@@ -41,11 +27,11 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d float array, rejecting NaN/Inf and empty axes."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got ndim={m.ndim}")
+        raise InvalidMatrixError(f"expected a 2-d array, got ndim={m.ndim}")
     if min(m.shape) < 1:
-        raise ValueError(f"matrix must be non-empty, got shape {m.shape}")
+        raise InvalidMatrixError(f"matrix must be non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise InvalidMatrixError("matrix entries must be finite")
     return m
 
 
@@ -54,7 +40,7 @@ def as_factor(a) -> np.ndarray:
     u = as_matrix(a)
     n, r = u.shape
     if r > n:
-        raise ValueError(f"factor matrices are tall (cols <= rows), got shape {u.shape}")
+        raise InvalidMatrixError(f"factor matrices are tall (cols <= rows), got shape {u.shape}")
     return u
 
 
@@ -97,18 +83,14 @@ def sigma_min_positive(m) -> float:
     return float(positive[-1])
 
 
-def _column_basis(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of col(U), one column per positive singular value."""
-    left, sigma, _ = np.linalg.svd(u, full_matrices=False)
-    keep = sigma > _positive_tol(u.shape, sigma)
-    if not np.any(keep):
-        raise ZeroMatrixError("the zero matrix has no column space basis")
-    return left[:, keep]
-
-
 def column_space_projector(u) -> np.ndarray:
-    """Orthogonal projector Q Q^T onto the column space of a nonzero factor."""
-    q = _column_basis(as_factor(u))
+    """Orthogonal projector Q Q^T onto the column space of a nonzero factor,
+    Q holding one left singular vector per positive singular value."""
+    u = as_factor(u)
+    left, sigma, _ = np.linalg.svd(u, full_matrices=False)
+    q = left[:, sigma > _positive_tol(u.shape, sigma)]
+    if q.shape[1] == 0:
+        raise ZeroMatrixError("the zero matrix has no column space basis")
     return q @ q.T
 
 

@@ -27,22 +27,6 @@ import numpy as np
 
 from .errors import (DegenerateProblemError, NegativeEstimateError, NumericalBlowupError,
                      ZeroGradientError)
-from .geometry import _column_basis, as_factor, as_matrix, spectral_norm
-
-__all__ = [
-    "FIXED_FGD",
-    "ADAPTIVE_EXACT",
-    "ADAPTIVE_PRACTICAL",
-    "POLICY_KINDS",
-    "StepPolicy",
-    "StepContext",
-    "eta_fixed",
-    "eta_local",
-    "eta_optimal",
-    "eta_estimated",
-    "eta_practical",
-    "grad_floor",
-]
 
 FIXED_FGD = "fgd"
 ADAPTIVE_EXACT = "adaptive-exact"
@@ -58,7 +42,8 @@ class StepPolicy:
     ``delta_rho > 0`` switches the distance term to a synthetic estimate: at
     each iteration the true squared distance D2 is replaced by D2 + delta
     with delta = delta_rho * D2 * u, u ~ Uniform(-1, 1), so the estimation
-    error never exceeds half of D2 when delta_rho <= 1/2.
+    error never exceeds half of D2 when delta_rho <= 1/2. The fixed step
+    reads no distance, so it takes no delta_rho.
     """
 
     kind: str
@@ -69,6 +54,8 @@ class StepPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not 0.0 <= self.delta_rho <= 0.5:
             raise ValueError("delta_rho must lie in [0, 1/2]")
+        if self.kind == FIXED_FGD and self.delta_rho != 0.0:
+            raise ValueError("the fixed step takes no delta_rho")
 
     @classmethod
     def fixed(cls) -> "StepPolicy":
@@ -108,29 +95,31 @@ class StepContext:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def eta_fixed(M: float, x0, grad0) -> float:
-    """Constant step 1 / (16 (M ||X0||_2 + ||grad f(X0)||_2))."""
-    denom = 16.0 * (M * spectral_norm(x0) + spectral_norm(grad0))
+def _inverse_bound(M: float, x_norm: float, grad_norm: float) -> float:
+    """1 / (16 (M ||X||_2 + ||G||_2)): the one formula of eta_fixed and
+    eta_local."""
+    denom = 16.0 * (M * x_norm + grad_norm)
     if denom <= 0.0:
         raise DegenerateProblemError(
-            "step denominator vanishes: X0 and grad f(X0) are both zero")
+            "step denominator vanishes: X and its gradient term are both zero")
     return 1.0 / denom
 
 
-def eta_local(M: float, grad, u) -> float:
-    """Fixed-step expression at X = U U^T with a projected gradient.
+def eta_fixed(M: float, x_norm: float, grad_norm: float) -> float:
+    """Constant step 1 / (16 (M ||X0||_2 + ||grad f(X0)||_2)), from the two
+    spectral norms at the start."""
+    return _inverse_bound(M, x_norm, grad_norm)
 
-    Computes 1 / (16 (M ||X||_2 + ||grad f(X) Q Q^T||_2)) where Q spans
-    col(U). ||X||_2 = sigma_1(U)^2, so only n x r decompositions are taken;
-    U must be nonzero.
-    """
-    u = as_factor(u)
-    grad = as_matrix(grad)
-    q = _column_basis(u)
-    # ||G Q Q^T||_2 == ||G Q||_2: right-multiplying by Q^T preserves the
-    # nonzero singular values.
-    projected = spectral_norm(grad @ q)
-    return 1.0 / (16.0 * (M * spectral_norm(u) ** 2 + projected))
+
+def eta_local(M: float, x_norm: float, projected_grad_norm: float) -> float:
+    """The fixed-step formula at the current X = U U^T with the gradient
+    projected onto col(U): 1 / (16 (M ||X||_2 + ||grad f(X) Q Q^T||_2)),
+    Q an orthonormal basis of col(U)."""
+    return _inverse_bound(M, x_norm, projected_grad_norm)
+
+
+# grad_floor(U) = _GRAD_FLOOR * max(1, ||U||_F)^4
+_GRAD_FLOOR = 1e-14
 
 
 def _gradient_scale(u) -> float:
@@ -147,7 +136,7 @@ def _gradient_scale(u) -> float:
 def grad_floor(u) -> float:
     """Threshold on ||grad f(X) U||_F^2 below which the distance-driven term
     of an adaptive step is numerically meaningless."""
-    return 1e-14 * _gradient_scale(u)
+    return _GRAD_FLOOR * _gradient_scale(u)
 
 
 def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the alignment oracle
 enumerates the orthogonal group directly (sign flip for r=1, a fine rotation
-grid times an optional reflection for r=2) and the derivative oracle uses
-central differences.
+grid times an optional reflection for r=2), the derivative oracle uses
+central differences, and the dense reference forms X = U U^T, X - A and
+grad f(X) as n x n arrays and takes their full SVDs.
 """
 
 import numpy as np
@@ -46,6 +47,27 @@ def random_orthonormal(rng, r):
     """Haar-ish orthonormal r x r matrix from the QR of a Gaussian draw."""
     q, rr = np.linalg.qr(rng.standard_normal((r, r)))
     return q * np.sign(np.diag(rr))
+
+
+def dense_eta_fixed(big_m, x, grad):
+    """1 / (16 (M ||X||_2 + ||grad||_2)) from full SVDs of the n x n
+    matrices."""
+    norms = [np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)[0] for m in (x, grad)]
+    return 1.0 / (16.0 * (big_m * norms[0] + norms[1]))
+
+
+def dense_evaluation(a, u, big_m=2.0):
+    """g, the direction grad f(X) U, its squared norm, eta_fixed and eta_local
+    of ||X - A||_F^2 at X = U U^T, all from dense n x n arithmetic."""
+    u = np.asarray(u, dtype=float)
+    x = u @ u.T
+    residual = x - np.asarray(a, dtype=float)
+    grad = 2.0 * residual
+    direction = grad @ u
+    return {"g": float(np.sum(residual * residual)), "direction": direction,
+            "grad_norm_sq": float(np.sum(direction * direction)),
+            "eta_fixed": dense_eta_fixed(big_m, x, grad),
+            "eta_local": dense_eta_local(big_m, grad, u)}
 
 
 def dense_eta_local(big_m, grad, u):

@@ -79,10 +79,10 @@ class TestRegularity:
             assert report.applicable and report.holds
 
     def test_inner_product_forms_agree(self):
-        from factordescent import factored_gradient, procrustes_align
+        from factordescent import procrustes_align
         problem = make_instance(seed=4)
         u = problem.u0
-        direction = factored_gradient(problem.objective, u)
+        direction = problem.objective.evaluate(u).direction
         aligned = problem.u_star @ procrustes_align(u, problem.u_star)
         entrywise = float(np.sum(direction * (u - aligned)))
         trace_form = float(np.trace(direction.T @ (u - aligned)))
@@ -229,6 +229,22 @@ class TestOptimalStep:
         ctx = StepContext(eta_fixed=0.0, eta_local=0.02, m=2.0, sigma_r=1.0,
                           dist_sq=0.0, grad_norm_sq=3.0)
         assert check_optimal_step(ctx)
+
+    def test_sample_is_linspace_and_uniform_bit_for_bit(self):
+        # the grid and the draws are built from a unit sample made once per
+        # (random_draws, seed); scaled by 2 eta* they are the bits of
+        # linspace(0, 2 eta*, 41) and uniform(0, 2 eta*, 20)
+        etas = 10.0 ** np.random.default_rng(23).uniform(-12.0, 3.0, 100_000)
+        grids = np.linspace(0.0, 2.0 * etas, 41, axis=1)
+        for i, eta in enumerate(etas):
+            sample = bounds._step_sample(eta, 41, 20, 0)
+            assert np.array_equal(sample[:41], grids[i])
+            if i % 50 == 0:
+                draws = np.random.default_rng(0).uniform(0.0, 2.0 * eta, 20)
+                assert np.array_equal(sample[41:], draws)
+        for points in (0, 1, 2):
+            assert np.array_equal(bounds._step_sample(0.3, points, 3, 5)[:points],
+                                  np.linspace(0.0, 0.6, points))
 
     def test_contexts_from_runs(self):
         problem = make_instance(n=25, r=3, seed=800)

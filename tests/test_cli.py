@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,23 @@ class TestReproduceFiguresCommand:
             for name in ("fgd.csv", "adaptive-practical.csv", "summary.json"):
                 assert ((tmp_path / "a" / label / name).read_bytes()
                         == (tmp_path / "b" / label / name).read_bytes())
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # the full-scale default (n = 1000) in fresh processes with one and
+        # two BLAS threads: every output file is the same byte for byte
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        trees = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "factordescent.cli", "reproduce-figures",
+                            "--seed", "1", "--out", str(out)],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            trees[threads] = {path.relative_to(out): path.read_bytes()
+                              for path in sorted(out.rglob("*")) if path.is_file()}
+        assert len(trees["1"]) == 16
+        assert trees["1"] == trees["2"]
 
 
 class TestFailureExitCodes:

@@ -134,14 +134,18 @@ class TestInitFar:
 
 
 class TestStep:
-    def test_fixed_point_is_bitwise(self):
+    @pytest.mark.parametrize("target", ["factor", "dense"])
+    def test_solution_is_a_fixed_point(self, target):
+        # the direction vanishes up to rounding, the step leaves U in place
+        # to the last bits, and the run calls the iterate stationary
         rng = np.random.default_rng(4)
         u = rng.standard_normal((6, 2))
-        objective = matrix_factorization(u @ u.T)
+        objective = (matrix_factorization(target_factor=u) if target == "factor"
+                     else matrix_factorization(u @ u.T))
         problem = make_problem(objective, u, u_star=u)
         u_next, record = step(u, StepPolicy.fixed(), problem)
-        assert record.grad_norm_sq == 0.0
-        np.testing.assert_array_equal(u_next, u)
+        assert record.stationary
+        np.testing.assert_allclose(u_next, u, rtol=0, atol=1e-15)
 
     def test_hand_computed_scalar_step(self):
         # n = r = 1, A = [[1]], U0 = [[2]]: X = 4, grad = 2 (4 - 1) = 6,

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from factordescent import (Objective, ShapeMismatchError, eta_fixed,
-                           factored_gradient, g_value, matrix_factorization,
-                           mf_constants, mf_grad, mf_value)
+from factordescent import (ExperimentConfig, FactorDescentError, InvalidMatrixError,
+                           Objective, ShapeMismatchError, StepPolicy, eta_fixed, eta_local,
+                           generate_instance, make_problem, matrix_factorization, mf_grad,
+                           mf_value, prepare, step)
 
-from oracles import central_difference
+from oracles import central_difference, dense_evaluation
+
+
+def g_value(obj, u):
+    return obj.evaluate(np.asarray(u, dtype=float)).g
+
+
+def factored_gradient(obj, u):
+    return obj.evaluate(np.asarray(u, dtype=float)).direction
 
 
 def random_symmetric(rng, n):
@@ -59,7 +68,8 @@ class TestMfGrad:
 
 class TestMfConstants:
     def test_values(self):
-        assert mf_constants(np.eye(3)) == (2.0, 2.0)
+        obj = matrix_factorization(np.eye(3))
+        assert (obj.m, obj.M) == (2.0, 2.0)
 
     def test_kappa_one(self):
         obj = matrix_factorization(np.eye(3))
@@ -72,7 +82,7 @@ class TestMfConstants:
         a = random_symmetric(rng, 4)
         x = random_symmetric(rng, 4)
         y = random_symmetric(rng, 4)
-        m, _ = mf_constants(a)
+        m = matrix_factorization(a).m
         expansion = (mf_value(a, x) + np.sum(mf_grad(a, x) * (y - x))
                      + 0.5 * m * np.sum((y - x) ** 2))
         assert mf_value(a, y) == pytest.approx(expansion, rel=1e-12, abs=1e-12)
@@ -120,15 +130,16 @@ class TestFactoredGradient:
         u = rng.standard_normal((8, 2))
         direction = factored_gradient(obj, u)
         assert np.any(direction)
-        x = u @ u.T
-        eta = 1e-4 * eta_fixed(obj.M, x, obj.grad(x))
+        point = obj.evaluate(u)
+        eta = 1e-4 * eta_fixed(obj.M, point.x_norm, point.grad_norm)
         assert g_value(obj, u - eta * direction) <= g_value(obj, u)
 
 
 class TestObjectiveValidation:
     def test_requires_ordered_constants(self):
         with pytest.raises(ValueError):
-            Objective(value=lambda x: 0.0, grad=lambda x: x, m=3.0, M=1.0)
+            Objective(value=lambda x: 0.0, grad=lambda x: x, m=3.0, M=1.0,
+                      basis=np.zeros((2, 0)), weights=np.zeros(0))
 
     def test_rejects_asymmetric_target(self):
         with pytest.raises(ValueError):
@@ -142,3 +153,121 @@ class TestObjectiveValidation:
         x = random_symmetric(rng, 4)
         grad = obj.grad(x)
         assert np.max(np.abs(grad - grad.T)) <= 1e-9
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("target", [
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),       # not finite
+        np.array([[0.0, 1.0], [0.0, 0.0]]),          # asymmetric
+        np.ones((2, 3)),                             # not square
+        np.ones(3),                                  # not 2-d
+    ])
+    def test_dense_target(self, target):
+        with pytest.raises(InvalidMatrixError):
+            matrix_factorization(target)
+
+    @pytest.mark.parametrize("factor", [
+        np.array([[np.inf], [1.0]]),                 # not finite
+        np.ones((2, 3)),                             # wide
+        np.ones(3),                                  # not 2-d
+    ])
+    def test_target_factor(self, factor):
+        with pytest.raises(InvalidMatrixError):
+            matrix_factorization(target_factor=factor)
+
+    def test_errors_are_package_errors_and_value_errors(self):
+        with pytest.raises(FactorDescentError):
+            matrix_factorization(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert issubclass(InvalidMatrixError, ValueError)
+
+    def test_exactly_one_target(self):
+        with pytest.raises(TypeError):
+            matrix_factorization()
+        with pytest.raises(TypeError):
+            matrix_factorization(np.eye(2), target_factor=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: matrix_factorization(np.eye(5)),
+        lambda: matrix_factorization(target_factor=np.ones((5, 2))),
+    ])
+    def test_start_must_match_the_target(self, build):
+        with pytest.raises(ShapeMismatchError):
+            make_problem(build(), np.ones((4, 2)))
+
+
+def assert_matches_dense(obj, a, u, rel=1e-9):
+    """The factored evaluation of obj at U against the dense reference."""
+    point = obj.evaluate(u)
+    dense = dense_evaluation(a, u)
+    factored = {"g": point.g, "direction": point.direction,
+                "grad_norm_sq": point.grad_norm_sq,
+                "eta_fixed": eta_fixed(obj.M, point.x_norm, point.grad_norm),
+                "eta_local": eta_local(obj.M, point.x_norm, point.projected_grad_norm)}
+    for name, reference in dense.items():
+        gap = np.linalg.norm(np.asarray(factored[name]) - reference)
+        assert gap <= rel * np.linalg.norm(reference), name
+
+
+class TestDenseAgreement:
+    """Dense n x n arithmetic and the QR-core evaluation agree on g, the
+    direction, its squared norm and both step formulas."""
+
+    @pytest.mark.parametrize("n, r, kind, checked", [
+        (50, 3, "near", (0, 10, 40)),
+        (50, 3, "far", (0, 10, 40)),
+        (1000, 5, "near", (0, 20)),
+        (1000, 5, "far", (0, 20)),
+    ])
+    def test_along_runs(self, n, r, kind, checked):
+        config = ExperimentConfig(n=n, r=r, seed=3, init_kind=kind,
+                                  init_param=0.5 if kind == "near" else 1.0)
+        problem = generate_instance(config)
+        a = problem.u_star @ problem.u_star.T
+        state = prepare(problem, StepPolicy.fixed())
+        u = problem.u0
+        for k in range(max(checked) + 1):
+            if k in checked:
+                assert_matches_dense(problem.objective, a, u)
+            u, _ = step(u, StepPolicy.fixed(), problem, state=state, k=k)
+
+    def test_fewer_rows_than_stacked_columns(self):
+        # n < 2r: [U, U*] is wide and its QR core is n x n
+        rng = np.random.default_rng(11)
+        v = rng.uniform(-1.0, 1.0, (3, 2))
+        assert_matches_dense(matrix_factorization(target_factor=v), v @ v.T,
+                             rng.uniform(-1.0, 1.0, (3, 2)))
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(12)
+        v = rng.uniform(-1.0, 1.0, (20, 3))
+        u = rng.uniform(-1.0, 1.0, (20, 3))
+        u[:, 2] = 0.0
+        assert_matches_dense(matrix_factorization(target_factor=v), v @ v.T, u)
+
+    def test_zero_target(self):
+        obj = matrix_factorization(np.zeros((15, 15)))
+        assert obj.basis.shape == (15, 0)
+        u = np.random.default_rng(13).uniform(-1.0, 1.0, (15, 2))
+        assert_matches_dense(obj, np.zeros((15, 15)), u)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_indefinite_dense_target(self, seed):
+        rng = np.random.default_rng(14 + seed)
+        a = random_symmetric(rng, 9)
+        obj = matrix_factorization(a)
+        assert np.any(obj.weights < 0) and np.any(obj.weights > 0)
+        assert_matches_dense(obj, a, rng.standard_normal((9, 2)))
+
+    def test_at_the_solution(self):
+        # g and the direction vanish up to rounding; the steps still agree
+        v = np.random.default_rng(15).uniform(-1.0, 1.0, (30, 2))
+        obj = matrix_factorization(target_factor=v)
+        point = obj.evaluate(v)
+        scale = float(np.sum(v * v))
+        assert point.g <= 1e-24 * scale ** 2
+        assert np.max(np.abs(point.direction)) <= 1e-12 * scale ** 1.5
+        dense = dense_evaluation(v @ v.T, v)
+        assert eta_fixed(2.0, point.x_norm, point.grad_norm) == pytest.approx(
+            dense["eta_fixed"], rel=1e-9)
+        assert eta_local(2.0, point.x_norm, point.projected_grad_norm) == pytest.approx(
+            dense["eta_local"], rel=1e-9)

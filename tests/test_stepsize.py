@@ -22,68 +22,87 @@ def make_ctx(**overrides):
 class TestEtaFixed:
     def test_plug_in(self):
         # M ||X0||_2 = 2, ||grad||_2 = 2 -> 1/64
-        assert eta_fixed(2.0, np.eye(3), 2.0 * np.eye(3)) == pytest.approx(1.0 / 64.0)
+        assert eta_fixed(2.0, 1.0, 2.0) == pytest.approx(1.0 / 64.0)
 
     def test_zero_start_matrix_factorization(self):
         # at X0 = 0 with target I: ||X0||_2 = 0, ||grad f(0)||_2 = 2
         obj = matrix_factorization(np.eye(4))
-        x0 = np.zeros((4, 4))
-        assert eta_fixed(obj.M, x0, obj.grad(x0)) == pytest.approx(1.0 / 32.0)
+        start = obj.evaluate(np.zeros((4, 1)))
+        assert (start.x_norm, start.grad_norm) == (0.0, 2.0)
+        assert eta_fixed(obj.M, start.x_norm, start.grad_norm) == pytest.approx(1.0 / 32.0)
 
     def test_halves_when_norms_double(self):
-        one = eta_fixed(2.0, np.eye(3), 2.0 * np.eye(3))
-        two = eta_fixed(2.0, 2.0 * np.eye(3), 4.0 * np.eye(3))
+        one = eta_fixed(2.0, 1.0, 2.0)
+        two = eta_fixed(2.0, 2.0, 4.0)
         assert two == pytest.approx(one / 2.0)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateProblemError):
-            eta_fixed(2.0, np.zeros((2, 2)), np.zeros((2, 2)))
+            eta_fixed(2.0, 0.0, 0.0)
+        # X0 = 0 and a zero target: both norms vanish
+        start = matrix_factorization(np.zeros((2, 2))).evaluate(np.zeros((2, 1)))
+        with pytest.raises(DegenerateProblemError):
+            eta_fixed(2.0, start.x_norm, start.grad_norm)
+
+
+def local_and_fixed(obj, u):
+    point = obj.evaluate(u)
+    return (eta_local(obj.M, point.x_norm, point.projected_grad_norm),
+            eta_fixed(obj.M, point.x_norm, point.grad_norm))
 
 
 class TestEtaLocal:
     def test_gradient_inside_column_space(self):
-        # col(U) = R^n: the projector changes nothing, denominators agree
-        u = np.eye(3)
-        x = u @ u.T
-        grad = np.diag([2.0, 1.0, 0.5])
-        assert eta_local(2.0, grad, u) == pytest.approx(
-            eta_fixed(2.0, x, grad))
+        # col(U) = R^n: the projector changes nothing, denominators agree;
+        # grad f(I) = 2 (I - A) = diag(2, 1, 0.5)
+        obj = matrix_factorization(np.diag([0.0, 0.5, 0.75]))
+        local, fixed = local_and_fixed(obj, np.eye(3))
+        assert local == pytest.approx(fixed)
+        assert obj.evaluate(np.eye(3)).grad_norm == pytest.approx(2.0)
 
     def test_gradient_annihilated_by_projector(self):
-        # grad supported on the column complementary to col(U): the projected
-        # term drops and only M ||X||_2 remains in the denominator
+        # grad f(X) = 2 (X - A) = diag(0, 0, 5) lives on the column
+        # complementary to col(U): the projected term drops and only
+        # M ||X||_2 remains in the denominator
         u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        x = u @ u.T
-        grad = np.zeros((3, 3))
-        grad[:, 2] = [3.0, 4.0, 5.0]
-        assert eta_local(2.0, grad, u) == pytest.approx(1.0 / 32.0)
+        obj = matrix_factorization(np.diag([1.0, 1.0, -2.5]))
+        assert obj.evaluate(u).projected_grad_norm == pytest.approx(0.0, abs=1e-15)
+        assert local_and_fixed(obj, u)[0] == pytest.approx(1.0 / 32.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_smaller_than_fixed_at_same_point(self, seed):
         # projection can only shrink the gradient's spectral norm
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((6, 2))
-        x = u @ u.T
-        grad = rng.standard_normal((6, 6))
-        grad = grad + grad.T
-        assert eta_local(2.0, grad, u) >= eta_fixed(2.0, x, grad) - 1e-15
+        a = rng.standard_normal((6, 6))
+        local, fixed = local_and_fixed(matrix_factorization(a + a.T), u)
+        assert local >= fixed - 1e-15
 
     @pytest.mark.parametrize("case", ["random", "zero_column", "symmetric_grad"])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_reference(self, case, seed):
+        # random: a rank-3 target given by its factor; zero_column: U with a
+        # zero column; symmetric_grad: a full-rank indefinite target
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((12, 3))
-        grad = rng.standard_normal((12, 12))
+        v = rng.standard_normal((12, 3))
+        a = rng.standard_normal((12, 12))
+        a = a + a.T
+        if case == "random":
+            obj, a = matrix_factorization(target_factor=v), v @ v.T
+        else:
+            obj = matrix_factorization(a)
         if case == "zero_column":
             u[:, 1] = 0.0
-        if case == "symmetric_grad":
-            grad = grad + grad.T
-        assert eta_local(2.0, grad, u) == pytest.approx(
-            dense_eta_local(2.0, grad, u), rel=1e-12, abs=0)
+        point = obj.evaluate(u)
+        local = eta_local(2.0, point.x_norm, point.projected_grad_norm)
+        assert local == pytest.approx(dense_eta_local(2.0, 2.0 * (u @ u.T - a), u),
+                                      rel=1e-12, abs=0)
 
     def test_zero_factor_raises(self):
+        point = matrix_factorization(np.eye(3)).evaluate(np.zeros((3, 2)))
         with pytest.raises(ZeroMatrixError):
-            eta_local(2.0, np.eye(3), np.zeros((3, 2)))
+            point.projected_grad_norm
 
 
 class TestEtaOptimal:
@@ -174,6 +193,13 @@ class TestStepPolicy:
     def test_rho_bounds(self):
         with pytest.raises(ValueError):
             StepPolicy.adaptive_exact(delta_rho=0.75)
+
+    def test_fixed_step_takes_no_rho(self):
+        # the fixed step reads no distance, so an estimation-noise amplitude
+        # would be silently ignored
+        with pytest.raises(ValueError, match="no delta_rho"):
+            StepPolicy(kind="fgd", delta_rho=0.5)
+        assert StepPolicy(kind="fgd", delta_rho=0.0) == StepPolicy.fixed()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
