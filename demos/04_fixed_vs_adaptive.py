@@ -37,7 +37,8 @@ else:
     fig, axes = plt.subplots(1, 2, figsize=(10, 4), sharey=True)
     for ax, (kind, artifact) in zip(axes, results.items()):
         for label, traj in artifact.trajectories.items():
-            ax.semilogy(traj.column("k"), traj.column("rel_error"), label=label)
+            ax.semilogy([rec.k for rec in traj.records],
+                        [rec.rel_error for rec in traj.records], label=label)
         ax.set_title(f"{kind} start (n=300, r=2)")
         ax.set_xlabel("iteration")
         ax.legend()

@@ -16,9 +16,8 @@ from .errors import (DegenerateProblemError, FactorDescentError,
                      InvalidMatrixError, MissingGroundTruthError, NegativeEstimateError,
                      NumericalBlowupError, ShapeMismatchError,
                      ZeroGradientError, ZeroMatrixError)
-from .geometry import (as_factor, as_matrix, column_space_projector, dist,
-                       frobenius_norm, orthonormality_defect, procrustes_align,
-                       sigma_min_positive, singular_values, spectral_norm)
+from .geometry import (as_factor, as_matrix, dist, procrustes_align,
+                       sigma_min_positive, spectral_norm)
 from .objectives import Objective, matrix_factorization, mf_grad, mf_value
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
                        StepContext, StepPolicy, eta_estimated, eta_fixed,
@@ -45,9 +44,8 @@ __all__ = [
     "FactorDescentError", "InvalidMatrixError", "ShapeMismatchError", "ZeroMatrixError",
     "DegenerateProblemError", "ZeroGradientError", "NegativeEstimateError",
     "MissingGroundTruthError", "NumericalBlowupError",
-    "as_matrix", "as_factor", "frobenius_norm", "spectral_norm",
-    "singular_values", "sigma_min_positive", "column_space_projector",
-    "procrustes_align", "dist", "orthonormality_defect",
+    "as_matrix", "as_factor", "spectral_norm", "sigma_min_positive",
+    "procrustes_align", "dist",
     "Objective", "matrix_factorization", "mf_value", "mf_grad",
     "FIXED_FGD", "ADAPTIVE_EXACT", "ADAPTIVE_PRACTICAL",
     "StepPolicy", "StepContext", "eta_fixed", "eta_local", "eta_optimal",

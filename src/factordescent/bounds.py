@@ -45,6 +45,12 @@ from .stepsize import StepContext, StepPolicy
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
 
+# the optimal-step audit's sample of [0, 2 eta*] (grid points, then uniform
+# draws) and its absolute tolerance
+GRID_POINTS = 41
+RANDOM_DRAWS = 20
+OPTIMAL_STEP_TOL = 1e-12
+
 CHECK_LOCAL_STEP_FLOOR = "local_step_floor"
 CHECK_REGULARITY = "regularity"
 CHECK_DESCENT_QUADRATIC = "descent_quadratic"
@@ -102,32 +108,29 @@ def _bound(ctx: StepContext, eta):
 
 
 @lru_cache(maxsize=256)
-def _unit_draws(random_draws: int, seed) -> np.ndarray:
-    draws = np.random.default_rng(seed).random(random_draws)
+def _unit_draws(seed) -> np.ndarray:
+    draws = np.random.default_rng(seed).random(RANDOM_DRAWS)
     draws.flags.writeable = False  # shared by every caller
     return draws
 
 
-def _step_sample(eta_opt: float, grid_points: int, random_draws: int, seed) -> np.ndarray:
-    """linspace(0, 2 eta*, grid_points) and then uniform(0, 2 eta*,
-    random_draws) from a fresh generator on seed, bit for bit, with the unit
-    draws made once per (random_draws, seed)."""
+def _step_sample(eta_opt: float, seed) -> np.ndarray:
+    """linspace(0, 2 eta*, GRID_POINTS) and then uniform(0, 2 eta*,
+    RANDOM_DRAWS) from a fresh generator on seed, bit for bit, with the unit
+    draws made once per seed."""
     top = 2.0 * eta_opt
-    grid = np.arange(grid_points) * (top / max(grid_points - 1, 1))
-    if grid_points > 1:
-        grid[-1] = top  # linspace's exact endpoint
-    return np.concatenate([grid, top * _unit_draws(random_draws, seed)])
+    grid = np.arange(GRID_POINTS) * (top / (GRID_POINTS - 1))
+    grid[-1] = top  # linspace's exact endpoint
+    return np.concatenate([grid, top * _unit_draws(seed)])
 
 
-def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, grid_points: int = 41,
-                         random_draws: int = 20, seed=0, tol: float = 1e-12) -> InequalityReport:
+def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, seed=0) -> InequalityReport:
     """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
     uniform draws; applicable while the gradient is above its floor."""
-    etas = _step_sample(eta_opt, grid_points, random_draws, seed)
     return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
-                       rhs=float(np.min(_bound(ctx, etas))),
+                       rhs=float(np.min(_bound(ctx, _step_sample(eta_opt, seed)))),
                        applicable=ctx.grad_norm_sq > ctx.grad_floor,
-                       tol_abs=tol, tol_rel=0.0)
+                       tol_abs=OPTIMAL_STEP_TOL, tol_rel=0.0)
 
 
 def _reports(k: int, data, transition=None) -> list[InequalityReport]:
@@ -241,12 +244,10 @@ def check_contraction(problem: Problem, traj: Trajectory, k: int,
     return _transition_report(traj, k, CONTRACTION_VARIANTS[variant])
 
 
-def check_optimal_step(ctx: StepContext, grid_points: int = 41,
-                       random_draws: int = 20, seed=0, tol: float = 1e-12) -> bool:
+def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     """The optimal step really minimizes the quadratic bound: no sampled step
-    in [0, 2 eta*] beats it by more than tol."""
-    return _optimal_step_report(0, ctx, stepsize.eta_optimal(ctx), grid_points,
-                                random_draws, seed, tol).holds
+    in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL."""
+    return _optimal_step_report(0, ctx, stepsize.eta_optimal(ctx), seed).holds
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import FactorDescentError
 from .experiments import (ExperimentConfig, INIT_FAR, INIT_NEAR, export_csv,
-                          reproduce_figures, run_comparison, write_plot_script)
+                          figure_configs, reproduce_figures, run_comparison,
+                          write_plot_script)
 from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, POLICY_KINDS
 
 __all__ = ["main", "parse_config_text", "ConfigError"]
@@ -131,9 +132,10 @@ def _set_field(values: dict, key: str, raw) -> None:
     values.update(zip(fields, parsed))
 
 
-def _experiment_config(**values) -> ExperimentConfig:
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError reported as bad usage."""
     try:
-        return ExperimentConfig(**values)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -153,7 +155,7 @@ def _build_run_config(args) -> ExperimentConfig:
     values.setdefault("n", 100)
     values.setdefault("r", 2)
     values.setdefault("seed", 0)
-    return _experiment_config(**values)
+    return _checked(ExperimentConfig, **values)
 
 
 def _cmd_run(args) -> int:
@@ -183,8 +185,8 @@ def _cmd_verify(args) -> int:
     seeds = _parse_seed_range(args.seed)
     total_applicable = total_failures = 0
     for seed in seeds:
-        config = _experiment_config(
-            n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
+        config = _checked(
+            ExperimentConfig, n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
             init_param=args.safety, policies=(FIXED_FGD, ADAPTIVE_EXACT),
             max_iters=args.max_iters, rel_tol=args.rel_tol,
             delta_rho=args.delta_rho, checks_enabled=True,
@@ -207,8 +209,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce_figures(args) -> int:
-    results = reproduce_figures(args.out, seed=args.seed, n=args.n,
-                                max_iters=args.max_iters, rel_tol=args.rel_tol)
+    options = dict(seed=args.seed, n=args.n, max_iters=args.max_iters, rel_tol=args.rel_tol)
+    _checked(figure_configs, args.out, **options)  # bad values exit 2, before any run
+    results = reproduce_figures(args.out, **options)
     status = 0
     for label, summary in results.items():
         parts = []

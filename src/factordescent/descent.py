@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import stepsize
-from .errors import MissingGroundTruthError, NumericalBlowupError, ShapeMismatchError
+from .errors import (MissingGroundTruthError, NumericalBlowupError, ShapeMismatchError,
+                     ZeroMatrixError)
 from .geometry import as_factor, dist, procrustes_align, sigma_min_positive, spectral_norm
 from .objectives import FactoredEvaluation, Objective
 from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, StepContext, StepPolicy
@@ -51,25 +52,13 @@ class Problem:
     sigma_r_xstar: float | None = None
     sigma1_xstar: float | None = None
 
-    @property
-    def m(self) -> float:
-        return self.objective.m
-
-    @property
-    def M(self) -> float:
-        return self.objective.M
-
-    @property
-    def kappa(self) -> float:
-        return self.objective.kappa
-
     @cached_property
     def _anchor(self) -> tuple[float, float]:
         """(anchored fixed step, g(U0)), computed on first use and shared by
         every run on this instance: the one evaluation of U0, with the
         spectral norms of X0 and grad f(X0) read off its small QR core."""
         start = _evaluate(self, self.u0).f
-        return stepsize.eta_fixed(self.M, start.x_norm, start.grad_norm), start.g
+        return stepsize.eta_fixed(self.objective.M, start.x_norm, start.grad_norm), start.g
 
 
 def make_problem(objective: Objective, u0, u_star=None) -> Problem:
@@ -77,12 +66,15 @@ def make_problem(objective: Objective, u0, u_star=None) -> Problem:
 
     The singular values of X* are the squares of those of U*, so only the
     cheap n x r decomposition is ever taken. U0 must have the objective's n
-    rows.
+    rows and be nonzero: the zero factor is a stationary point of every
+    factored objective, so no step rule moves it.
     """
     u0 = as_factor(u0).copy()
     if u0.shape[0] != objective.basis.shape[0]:
         raise ShapeMismatchError(f"u0 has {u0.shape[0]} rows, the target "
                                  f"{objective.basis.shape[0]}")
+    if not np.any(u0):
+        raise ZeroMatrixError("u0 is zero, a stationary point of every factored objective")
     sigma_r = sigma1 = None
     if u_star is not None:
         u_star = as_factor(u_star).copy()
@@ -129,11 +121,6 @@ class Trajectory:
     def final(self) -> IterateRecord:
         return self.records[-1]
 
-    def column(self, name: str) -> np.ndarray:
-        """One record field across all iterates, as a float array."""
-        values = [getattr(rec, name) for rec in self.records]
-        return np.array([np.nan if v is None else v for v in values], dtype=float)
-
     def iterations_to(self, rel_tol: float):
         """First k with rel_error <= rel_tol, or None if never reached."""
         for rec in self.records:
@@ -165,7 +152,7 @@ def start_radius(u_star, kappa: float = 1.0) -> float:
 def _problem_radius(problem: Problem) -> float:
     if problem.u_star is None:
         raise MissingGroundTruthError("start radius needs the ground-truth factor")
-    return _radius(problem.sigma_r_xstar, problem.sigma1_xstar, problem.kappa)
+    return _radius(problem.sigma_r_xstar, problem.sigma1_xstar, problem.objective.kappa)
 
 
 def check_init_condition(problem: Problem) -> InitCheck:
@@ -264,7 +251,7 @@ def _evaluate(problem: Problem, u, k: int = 0) -> _Evaluation:
 
 
 def _eta_local(problem: Problem, point: _Evaluation) -> float:
-    return stepsize.eta_local(problem.M, point.f.x_norm, point.f.projected_grad_norm)
+    return stepsize.eta_local(problem.objective.M, point.f.x_norm, point.f.projected_grad_norm)
 
 
 def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=None):
@@ -275,7 +262,7 @@ def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=Non
     radius = _problem_radius(problem)  # raises without a ground truth
     if eta_local is None:
         eta_local = _eta_local(problem, point)
-    ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.m,
+    ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.objective.m,
                       sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
                       grad_norm_sq=point.f.grad_norm_sq,
                       grad_floor=stepsize._GRAD_FLOOR * point.scale)
@@ -320,7 +307,7 @@ def step(u, policy: StepPolicy, problem: Problem, *,
             delta = policy.delta_rho * point.dist_sq * float(delta_rng.uniform(-1.0, 1.0))
         exact = policy.kind == ADAPTIVE_EXACT
         local = _eta_local(problem, point) if exact else None
-        ctx = StepContext(eta_fixed=state.eta0, eta_local=local or 0.0, m=problem.m,
+        ctx = StepContext(eta_fixed=state.eta0, eta_local=local or 0.0, m=problem.objective.m,
                           sigma_r=state.sigma_r, dist_sq=point.dist_sq,
                           grad_norm_sq=point.f.grad_norm_sq, delta=delta,
                           grad_floor=stepsize._GRAD_FLOOR * point.scale)

@@ -30,8 +30,7 @@ from .bounds import InequalityReport, trajectory_reports
 from .descent import Problem, Trajectory, init_far, init_near, make_problem, run
 from .errors import FactorDescentError
 from .objectives import matrix_factorization
-from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
-                       POLICY_KINDS, StepPolicy)
+from .stepsize import ADAPTIVE_PRACTICAL, FIXED_FGD, POLICY_KINDS, StepPolicy
 
 INIT_NEAR = "near"
 INIT_FAR = "far"
@@ -42,7 +41,8 @@ CHECKS_HEADER = "iter,name,lhs,rhs,slack,holds,applicable"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: instance dimensions, seed, start, policies, budgets.
+    """One benchmark run: instance dimensions, a non-negative seed, start,
+    distinct policies (each names its output file), budgets.
 
     init_param is the safety factor (fraction of the start radius) for a
     near start and the entry scale for a far one; a far scale s must keep
@@ -66,6 +66,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n >= self.r >= 1:
             raise ValueError(f"need n >= r >= 1, got n={self.n}, r={self.r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.init_kind not in (INIT_NEAR, INIT_FAR):
             raise ValueError(f"unknown init kind {self.init_kind!r}")
         if not self.init_param > 0.0:  # also rejects NaN
@@ -79,6 +81,8 @@ class ExperimentConfig:
         for name in self.policies:
             if name not in POLICY_KINDS:
                 raise ValueError(f"unknown policy {name!r}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policies must be distinct, got {list(self.policies)}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
@@ -95,7 +99,7 @@ class ExperimentConfig:
 @dataclass
 class RunArtifact:
     """Everything a comparison produced: the shared problem, one trajectory
-    per policy label, optional check reports, per-policy failures, and a
+    per policy name, optional check reports, per-policy failures, and a
     JSON-ready summary."""
 
     config: ExperimentConfig
@@ -109,13 +113,7 @@ class RunArtifact:
 def policy_from_name(name: str, delta_rho: float = 0.0) -> StepPolicy:
     """CLI policy names to StepPolicy values; delta_rho applies to both
     adaptives."""
-    if name == FIXED_FGD:
-        return StepPolicy.fixed()
-    if name == ADAPTIVE_EXACT:
-        return StepPolicy.adaptive_exact(delta_rho=delta_rho)
-    if name == ADAPTIVE_PRACTICAL:
-        return StepPolicy.adaptive_practical(delta_rho=delta_rho)
-    raise ValueError(f"unknown policy {name!r}")
+    return StepPolicy(name, 0.0 if name == FIXED_FGD else delta_rho)
 
 
 def _seed_streams(seed: int):
@@ -137,14 +135,6 @@ def generate_instance(config: ExperimentConfig) -> Problem:
     return make_problem(objective, u0, u_star=u_star)
 
 
-def _unique_labels(names) -> list[str]:
-    labels, seen = [], {}
-    for name in names:
-        seen[name] = seen.get(name, 0) + 1
-        labels.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
-    return labels
-
-
 def run_comparison(config: ExperimentConfig) -> RunArtifact:
     """Run every requested policy from the same start on the same instance.
 
@@ -156,17 +146,17 @@ def run_comparison(config: ExperimentConfig) -> RunArtifact:
     _, _, delta_ss = _seed_streams(config.seed)
     artifact = RunArtifact(config=config, problem=problem)
     audit = config.checks_enabled and problem.u_star is not None
-    for label, name in zip(_unique_labels(config.policies), config.policies):
+    for name in config.policies:
         policy = policy_from_name(name, config.delta_rho)
         try:
             traj = run(problem, policy, max_iters=config.max_iters,
                        rel_tol=config.rel_tol, delta_seed=delta_ss, audit=audit)
         except FactorDescentError as exc:
-            artifact.failures[label] = str(exc)
+            artifact.failures[name] = str(exc)
             continue
-        artifact.trajectories[label] = traj
+        artifact.trajectories[name] = traj
         if audit:
-            artifact.reports[label] = trajectory_reports(problem, traj)
+            artifact.reports[name] = trajectory_reports(problem, traj)
     artifact.summary = _summarize(artifact)
     return artifact
 

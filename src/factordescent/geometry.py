@@ -49,19 +49,9 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def frobenius_norm(m) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def spectral_norm(m) -> float:
     """Largest singular value, computed from a full SVD."""
-    return float(singular_values(m)[0])
-
-
-def singular_values(m) -> np.ndarray:
-    """All min(rows, cols) singular values, in descending order."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def _positive_tol(shape: tuple[int, int], sigma: np.ndarray) -> float:
@@ -81,17 +71,6 @@ def sigma_min_positive(m) -> float:
     if positive.size == 0:
         raise ZeroMatrixError("matrix has no strictly positive singular values")
     return float(positive[-1])
-
-
-def column_space_projector(u) -> np.ndarray:
-    """Orthogonal projector Q Q^T onto the column space of a nonzero factor,
-    Q holding one left singular vector per positive singular value."""
-    u = as_factor(u)
-    left, sigma, _ = np.linalg.svd(u, full_matrices=False)
-    q = left[:, sigma > _positive_tol(u.shape, sigma)]
-    if q.shape[1] == 0:
-        raise ZeroMatrixError("the zero matrix has no column space basis")
-    return q @ q.T
 
 
 def procrustes_align(u, v) -> np.ndarray:
@@ -120,8 +99,3 @@ def dist(u, v) -> float:
     require_same_shape(u, v)
     return float(np.linalg.norm(u - v @ procrustes_align(u, v)))
 
-
-def orthonormality_defect(r) -> float:
-    """Max-abs entry of R^T R - I; zero for an exactly orthonormal R."""
-    r = as_matrix(r)
-    return float(np.max(np.abs(r.T @ r - np.eye(r.shape[1]))))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd
@@ -122,25 +122,19 @@ class Objective:
     """f(X) = ||X - A||_F^2 with the target held as A = V diag(s) V^T.
 
     value(X) and grad(X) take the full matrix variable and form A; the
-    engine reads ``evaluate(U)`` instead, which forms no n x n array. m and
-    M are the strong-convexity and smoothness constants of f, with
-    kappa = M / m; basis is V (n x k, k >= 0) and weights is s.
+    engine reads ``evaluate(U)`` instead, which forms no n x n array. The
+    constants m = M = 2 are the strong-convexity and smoothness constants of
+    f, with kappa = M / m; basis is V (n x k, k >= 0) and weights is s.
     """
+
+    m: ClassVar[float] = 2.0
+    M: ClassVar[float] = 2.0
+    kappa: ClassVar[float] = M / m
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    m: float
-    M: float
     basis: np.ndarray
     weights: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.m <= self.M:
-            raise ValueError(f"need 0 < m <= M, got m={self.m}, M={self.M}")
-
-    @property
-    def kappa(self) -> float:
-        return self.M / self.m
 
     def evaluate(self, u: np.ndarray) -> FactoredEvaluation:
         """The evaluation at a finite n x r factor U (not validated)."""
@@ -175,4 +169,4 @@ def matrix_factorization(a=None, *, target_factor=None) -> Objective:
 
     return Objective(value=lambda x: mf_value(target(), x),
                      grad=lambda x: mf_grad(target(), x),
-                     m=2.0, M=2.0, basis=basis, weights=weights)
+                     basis=basis, weights=weights)

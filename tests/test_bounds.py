@@ -232,19 +232,17 @@ class TestOptimalStep:
 
     def test_sample_is_linspace_and_uniform_bit_for_bit(self):
         # the grid and the draws are built from a unit sample made once per
-        # (random_draws, seed); scaled by 2 eta* they are the bits of
-        # linspace(0, 2 eta*, 41) and uniform(0, 2 eta*, 20)
+        # seed; scaled by 2 eta* they are the bits of linspace(0, 2 eta*, 41)
+        # and uniform(0, 2 eta*, 20)
+        assert (bounds.GRID_POINTS, bounds.RANDOM_DRAWS) == (41, 20)
         etas = 10.0 ** np.random.default_rng(23).uniform(-12.0, 3.0, 100_000)
         grids = np.linspace(0.0, 2.0 * etas, 41, axis=1)
         for i, eta in enumerate(etas):
-            sample = bounds._step_sample(eta, 41, 20, 0)
+            sample = bounds._step_sample(eta, 0)
             assert np.array_equal(sample[:41], grids[i])
             if i % 50 == 0:
                 draws = np.random.default_rng(0).uniform(0.0, 2.0 * eta, 20)
                 assert np.array_equal(sample[41:], draws)
-        for points in (0, 1, 2):
-            assert np.array_equal(bounds._step_sample(0.3, points, 3, 5)[:points],
-                                  np.linspace(0.0, 0.6, points))
 
     def test_contexts_from_runs(self):
         problem = make_instance(n=25, r=3, seed=800)

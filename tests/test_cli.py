@@ -30,7 +30,8 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["--init", "far:nan"], ["--init", "far:inf"], ["--init", "far:1e308"],
         ["--init", "near:nan"], ["--rel-tol", "nan"],
-        ["--policy", "fgd", "--delta-rho", "0.25"],
+        ["--policy", "fgd", "--delta-rho", "0.25"], ["--seed", "-1"],
+        ["--policy", "fgd", "--policy", "fgd"],
     ])
     def test_unusable_value_exits_2(self, argv, tmp_path, capsys):
         assert main(["run", "--n", "10", "--out", str(tmp_path), *argv]) == 2
@@ -111,7 +112,8 @@ class TestVerifyCommand:
     def test_bad_seed_range_exits_2(self):
         assert main(["verify", "--seed", "5..x"]) == 2
 
-    @pytest.mark.parametrize("argv", [["--safety", "2"], ["--max-iters", "0"]])
+    @pytest.mark.parametrize("argv", [["--safety", "2"], ["--max-iters", "0"],
+                                      ["--seed", "-1..1"]])
     def test_out_of_range_config_exits_2(self, argv, capsys):
         assert main(["verify", *argv]) == 2
         assert "error" in capsys.readouterr().err
@@ -124,6 +126,23 @@ class TestVerifyCommand:
 
 
 class TestReproduceFiguresCommand:
+    @pytest.mark.parametrize("argv", [["--n", "1"], ["--max-iters", "0"],
+                                      ["--rel-tol", "nan"], ["--seed", "-2"]])
+    def test_out_of_range_config_exits_2(self, argv, tmp_path, capsys):
+        assert main(["reproduce-figures", "--out", str(tmp_path / "out"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_in_a_run_exits_1(self, monkeypatch, tmp_path):
+        import factordescent.experiments as experiments
+
+        def failing(config):
+            raise ValueError("raised while running")
+
+        monkeypatch.setattr(experiments, "run_comparison", failing)
+        assert main(["reproduce-figures", "--out", str(tmp_path), "--n", "40"]) == 1
+
     def test_smoke_scale(self, tmp_path, capsys):
         code = main(["reproduce-figures", "--out", str(tmp_path), "--n", "40",
                      "--max-iters", "400", "--rel-tol", "1e-8"])
@@ -178,6 +197,37 @@ class TestFailureExitCodes:
                                             "failures": 2}})
         monkeypatch.setattr(cli_mod, "run_comparison", lambda cfg: fake)
         assert cli_mod.main(["verify", "--seed", "1"]) == 1
+
+    def test_verify_exits_1_when_the_direction_is_negated(self, monkeypatch, capsys):
+        # an uphill direction breaks the inequalities while every run still
+        # completes: the failures verify counts are the checks'
+        from factordescent import (ExperimentConfig, Objective, run_comparison,
+                                   trajectory_reports)
+        original = Objective.evaluate
+
+        def uphill(self, u):
+            point = original(self, u)
+            point.direction = -point.direction
+            return point
+
+        monkeypatch.setattr(Objective, "evaluate", uphill)
+        assert main(["verify", "--seed", "1..2", "--n", "20", "--r", "2",
+                     "--max-iters", "30"]) == 1
+        total = capsys.readouterr().out.splitlines()[-1]
+        check_failures = 0
+        for seed in (1, 2):
+            artifact = run_comparison(ExperimentConfig(
+                n=20, r=2, seed=seed, policies=("fgd", "adaptive-exact"), max_iters=30,
+                delta_rho=0.5, checks_enabled=True))
+            assert not artifact.failures
+            check_failures += sum(entry["failures"]
+                                  for entry in artifact.summary["checks"].values())
+        assert check_failures > 0
+        assert f", {check_failures} failures across 2 seed(s)" in total
+        traj = artifact.trajectories["fgd"]
+        failing = {rep.name for rep in trajectory_reports(artifact.problem, traj)
+                   if rep.applicable and not rep.holds}
+        assert {"regularity", "descent_quadratic"} <= failing
 
     def test_run_exits_1_when_a_policy_fails(self, monkeypatch, tmp_path):
         import factordescent.cli as cli_mod

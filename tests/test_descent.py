@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factordescent import (MissingGroundTruthError, NumericalBlowupError, StepPolicy,
-                           TERMINATED_DIVERGED, TERMINATED_TOLERANCE,
+                           TERMINATED_DIVERGED, TERMINATED_TOLERANCE, ZeroMatrixError,
                            check_init_condition, check_local_step_floor, dist,
                            init_far, init_near, make_problem,
                            matrix_factorization, prepare, run,
@@ -36,12 +36,19 @@ class TestProblem:
                                u_star, u_star=u_star)
         assert problem.sigma_r_xstar == pytest.approx(
             sigma_min_positive(u_star @ u_star.T), abs=1e-9)
-        assert problem.m == 2.0 and problem.M == 2.0 and problem.kappa == 1.0
+        objective = problem.objective
+        assert objective.m == 2.0 and objective.M == 2.0 and objective.kappa == 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             make_problem(matrix_factorization(np.eye(4)),
                          np.ones((4, 2)), u_star=np.ones((4, 1)))
+
+    def test_zero_start_rejected(self):
+        # U0 = 0 is stationary for every policy, so no run starts from it
+        with pytest.raises(ZeroMatrixError):
+            make_problem(matrix_factorization(np.eye(4)), np.zeros((4, 2)),
+                         u_star=np.eye(4)[:, :2])
 
 
 class TestInitCondition:
@@ -161,7 +168,7 @@ class TestStep:
     def test_monotone_descent_from_near_start(self):
         problem = make_instance(seed=21)
         traj = run(problem, StepPolicy.fixed(), max_iters=200, rel_tol=1e-10)
-        g = traj.column("g_value")
+        g = np.array([rec.g_value for rec in traj.records])
         assert np.all(np.diff(g) <= 1e-12 * np.maximum(g[:-1], 1e-300))
 
 
@@ -178,7 +185,7 @@ class TestRun:
         traj = run(problem, StepPolicy.fixed(), max_iters=50, rel_tol=1e-12)
         assert traj.records[0].rel_error == 1.0
         assert traj.records[0].k == 0
-        ks = traj.column("k")
+        ks = np.array([rec.k for rec in traj.records])
         assert np.all(np.diff(ks) == 1)
 
     @pytest.mark.parametrize("policy", [StepPolicy.adaptive_exact(),

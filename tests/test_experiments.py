@@ -46,6 +46,7 @@ class TestConfigValidation:
         dict(rel_tol=float("nan")),
         dict(rel_tol=float("inf")),
         dict(policies=("fgd",), delta_rho=0.25),  # no policy reads the noise
+        dict(seed=-1),  # numpy's seed sequences take non-negative entropy
     ])
     def test_rejects_unusable_values(self, overrides):
         with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ class TestGenerateInstance:
 
     def test_constants(self):
         problem = generate_instance(small_config())
-        assert (problem.m, problem.M) == (2.0, 2.0)
+        assert (problem.objective.m, problem.objective.M) == (2.0, 2.0)
 
 
 class TestRunComparison:
@@ -129,8 +130,9 @@ class TestRunComparison:
         assert len(calls) == 1
 
     def test_duplicate_policy_labels(self):
-        art = run_comparison(small_config(policies=("fgd", "fgd")))
-        assert set(art.trajectories) == {"fgd", "fgd-2"}
+        # each policy names its output file, so a repeat is rejected up front
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(policies=("fgd", "adaptive-exact", "fgd"))
 
 
 class TestExportCsv:

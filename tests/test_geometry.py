@@ -1,27 +1,15 @@
 import numpy as np
 import pytest
 
-from factordescent import (ShapeMismatchError, ZeroMatrixError,
-                           column_space_projector, dist, frobenius_norm,
-                           orthonormality_defect, procrustes_align,
-                           sigma_min_positive, singular_values, spectral_norm)
+from factordescent import (ShapeMismatchError, ZeroMatrixError, dist,
+                           matrix_factorization, procrustes_align,
+                           sigma_min_positive, spectral_norm)
 
 from oracles import brute_force_dist, random_orthonormal
 
 
-class TestFrobeniusNorm:
-    def test_identity(self):
-        assert frobenius_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0), abs=0)
-
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_small_case(self):
-        assert frobenius_norm([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(np.sqrt(30.0))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            frobenius_norm([[np.nan, 0.0], [0.0, 0.0]])
+def assert_orthonormal(r):
+    np.testing.assert_allclose(r.T @ r, np.eye(r.shape[1]), rtol=0, atol=1e-10)
 
 
 class TestSpectralNorm:
@@ -37,23 +25,21 @@ class TestSpectralNorm:
 
 
 class TestSingularValues:
+    # spectral_norm is the largest of the full SVD's singular values
     def test_diagonal(self):
-        np.testing.assert_allclose(singular_values(np.diag([5.0, 2.0, 0.0])),
-                                   [5.0, 2.0, 0.0], atol=1e-12)
+        assert spectral_norm(np.diag([5.0, 2.0, 0.0])) == pytest.approx(5.0, abs=1e-12)
 
     def test_identity(self):
-        np.testing.assert_allclose(singular_values(np.eye(3)), [1.0, 1.0, 1.0])
+        assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
 
     def test_rank_one(self):
-        np.testing.assert_allclose(singular_values(np.ones((2, 2))), [2.0, 0.0],
-                                   atol=1e-12)
+        assert spectral_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_transpose_invariance(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(singular_values(m), singular_values(m.T),
-                                   rtol=1e-10, atol=1e-10)
+        assert spectral_norm(m) == pytest.approx(spectral_norm(m.T), rel=1e-10, abs=1e-10)
 
 
 class TestSigmaMinPositive:
@@ -73,33 +59,43 @@ class TestSigmaMinPositive:
 
 
 class TestColumnSpaceProjector:
+    """The projector Q_U Q_U^T onto the column space of U, as the evaluation's
+    projected_grad_norm = ||grad f(X) Q_U Q_U^T||_2 applies it."""
+
+    @staticmethod
+    def assert_projects(u, projector):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((u.shape[0], u.shape[0]))
+        a = a + a.T
+        grad = 2.0 * (u @ u.T - a)
+        projected = matrix_factorization(a).evaluate(u).projected_grad_norm
+        assert projected == pytest.approx(np.linalg.norm(grad @ projector, 2), rel=1e-12)
+
     def test_single_basis_vector(self):
-        u = np.array([[1.0], [0.0], [0.0]])
-        np.testing.assert_allclose(column_space_projector(u), np.diag([1.0, 0.0, 0.0]),
-                                   atol=1e-12)
+        self.assert_projects(np.array([[1.0], [0.0], [0.0]]), np.diag([1.0, 0.0, 0.0]))
 
     def test_orthonormal_columns(self):
         u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(column_space_projector(u), u @ u.T, atol=1e-12)
+        self.assert_projects(u, u @ u.T)
 
     def test_rank_deficient(self):
         u = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         q = np.array([1.0, 2.0, 0.0]) / np.sqrt(5.0)
-        np.testing.assert_allclose(column_space_projector(u), np.outer(q, q),
-                                   atol=1e-9)
+        self.assert_projects(u, np.outer(q, q))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_idempotent_and_fixes_columns(self, seed):
+        # a target inside col(U) keeps grad f(X) = 2 U (I - B) U^T there, so
+        # the projector leaves it as it is
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((7, 3))
-        p = column_space_projector(u)
-        assert np.max(np.abs(p @ p - p)) <= 1e-9
-        assert np.max(np.abs(p @ u - u)) <= 1e-9
-        assert np.linalg.matrix_rank(p) == np.linalg.matrix_rank(u)
+        b = rng.standard_normal((3, 3))
+        point = matrix_factorization(u @ (b + b.T) @ u.T).evaluate(u)
+        assert point.projected_grad_norm == pytest.approx(point.grad_norm, rel=1e-9)
 
     def test_zero_raises(self):
         with pytest.raises(ZeroMatrixError):
-            column_space_projector(np.zeros((4, 2)))
+            matrix_factorization(np.eye(4)).evaluate(np.zeros((4, 2))).projected_grad_norm
 
 
 class TestProcrustesAlign:
@@ -107,7 +103,7 @@ class TestProcrustesAlign:
         rng = np.random.default_rng(0)
         u = rng.standard_normal((5, 2))
         r = procrustes_align(u, u)
-        assert orthonormality_defect(r) <= 1e-10
+        assert_orthonormal(r)
         assert np.linalg.norm(u - u @ r) <= 1e-10
 
     def test_sign_flip(self):
@@ -140,7 +136,7 @@ class TestProcrustesAlign:
         u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         v = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         r = procrustes_align(u, v)
-        assert orthonormality_defect(r) <= 1e-10
+        assert_orthonormal(r)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):

@@ -137,7 +137,10 @@ class TestFactoredGradient:
 
 class TestObjectiveValidation:
     def test_requires_ordered_constants(self):
-        with pytest.raises(ValueError):
+        # m and M are ordered constants of the class, not constructor arguments
+        assert 0.0 < Objective.m <= Objective.M
+        assert Objective.kappa == Objective.M / Objective.m
+        with pytest.raises(TypeError):
             Objective(value=lambda x: 0.0, grad=lambda x: x, m=3.0, M=1.0,
                       basis=np.zeros((2, 0)), weights=np.zeros(0))
 
