@@ -22,13 +22,13 @@ per transition (quadratic bound at the step taken, the four contraction
 factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
-One function builds every report of an iterate from its check data: the
-step context, the correlation <grad f(X) U, U - U* R> and the radius test.
-An audited run (``run(..., audit=True)``) keeps that data from the very
+One function evaluates all eight as arrays over a run's audit: per iterate
+the step context, the correlation <grad f(X) U, U - U* R> and the radius
+test, which an audited run (``run(..., audit=True)``) keeps from the very
 evaluation its step rule used, so the trajectory checks evaluate nothing;
-they read the next squared distance off the records. The point checks build
-the same data for an arbitrary factor through the same helper, and the
-public ``check_*`` functions select their report from those rows.
+per transition the step taken and the next squared distance, read off the
+records. The public ``check_*`` functions read rows of the same table: a
+one-transition slice of the audit, or one row for a factor or a context.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ CONTRACTION_VARIANTS = {
     "exact_optimal": CHECK_CONTRACTION_EXACT_OPTIMAL,
 }
 
+# the checks of one iterate in report order: two point checks, then the six
+# transition checks, with the absolute and relative tolerance of each
+_CHECKS = (CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY, CHECK_DESCENT_QUADRATIC,
+           CHECK_CONTRACTION_FIXED, CHECK_CONTRACTION_ADAPTIVE,
+           CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_OPTIMAL_STEP)
+_TOL_ABS, _TOL_REL = np.array([[TOL_ABS] * 7 + [OPTIMAL_STEP_TOL], [TOL_REL] * 7 + [0.0]])
+
 
 @dataclass(frozen=True)
 class InequalityReport:
@@ -82,14 +89,6 @@ class InequalityReport:
     applicable: bool
 
 
-def make_report(k: int, name: str, lhs: float, rhs: float, applicable: bool = True,
-                tol_abs: float = TOL_ABS, tol_rel: float = TOL_REL) -> InequalityReport:
-    slack = rhs - lhs
-    holds = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
-    return InequalityReport(k=int(k), name=name, lhs=float(lhs), rhs=float(rhs),
-                            slack=float(slack), holds=holds, applicable=bool(applicable))
-
-
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
     return 0.8 * eta_local * grad_norm_sq + 0.15 * m * sigma_r * dist_sq
 
@@ -102,11 +101,6 @@ def dist_sq_upper_bound(eta: float, *, dist_sq: float, grad_norm_sq: float,
             - 2.0 * eta * _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq))
 
 
-def _bound(ctx: StepContext, eta):
-    return dist_sq_upper_bound(eta, dist_sq=ctx.dist_sq, grad_norm_sq=ctx.grad_norm_sq,
-                               eta_local=ctx.eta_local, m=ctx.m, sigma_r=ctx.sigma_r)
-
-
 @lru_cache(maxsize=256)
 def _unit_draws(seed) -> np.ndarray:
     draws = np.random.default_rng(seed).random(RANDOM_DRAWS)
@@ -114,61 +108,65 @@ def _unit_draws(seed) -> np.ndarray:
     return draws
 
 
-def _step_sample(eta_opt: float, seed) -> np.ndarray:
+def _step_sample(eta_opt, seed) -> np.ndarray:
     """linspace(0, 2 eta*, GRID_POINTS) and then uniform(0, 2 eta*,
     RANDOM_DRAWS) from a fresh generator on seed, bit for bit, with the unit
-    draws made once per seed."""
-    top = 2.0 * eta_opt
+    draws made once per seed: one row per entry of an array of eta*."""
+    top = 2.0 * np.asarray(eta_opt, dtype=float)[..., None]
     grid = np.arange(GRID_POINTS) * (top / (GRID_POINTS - 1))
-    grid[-1] = top  # linspace's exact endpoint
-    return np.concatenate([grid, top * _unit_draws(seed)])
+    grid[..., -1] = top[..., 0]  # linspace's exact endpoint
+    return np.concatenate([grid, top * _unit_draws(seed)], axis=-1)
 
 
-def _optimal_step_report(k: int, ctx: StepContext, eta_opt: float, seed=0) -> InequalityReport:
-    """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
-    uniform draws; applicable while the gradient is above its floor."""
-    return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
-                       rhs=float(np.min(_bound(ctx, _step_sample(eta_opt, seed)))),
-                       applicable=ctx.grad_norm_sq > ctx.grad_floor,
-                       tol_abs=OPTIMAL_STEP_TOL, tol_rel=0.0)
+def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityReport]:
+    """Every check over the audit rows k0, k0 + 1, ..., in (k, check) order.
+    The point checks run at every row; the transition checks at the first
+    len(etas) rows, whose transitions are (etas[i], next_dist_sq[i]) = (step
+    taken, next squared distance). The contraction hypotheses are those
+    listed in check_contraction; the optimal-step audit needs no radius, only
+    a gradient above its floor."""
+    n_rows, n_steps = len(audit), len(etas)
+    columns = np.array([(c.eta_fixed, c.eta_local, c.m, c.sigma_r, c.dist_sq, c.grad_norm_sq,
+                         c.grad_floor, correlation, inside) for c, correlation, inside in audit],
+                       dtype=float).reshape(n_rows, 9)
+    eta0, local, m, sigma_r, dist_sq, grad_sq, _, correlation, inside = columns.T
+    lhs, rhs = np.zeros((2, n_rows, len(_CHECKS)))
+    applicable = np.repeat(inside[:, None] > 0.0, len(_CHECKS), axis=1)
+    lhs[:, 0], rhs[:, 0] = (5.0 / 6.0) * eta0, local
+    lhs[:, 1], rhs[:, 1] = _regularity_lhs(local, grad_sq, m, sigma_r, dist_sq), correlation
 
+    # the transition rows, as columns of shape (n_steps, 1)
+    eta0, local, m, sigma_r, dist_sq, grad_sq, floor = columns[:n_steps, :7].T[..., None]
+    eta = np.array(etas, dtype=float)[:, None]
+    eta_opt = np.array([stepsize.eta_optimal(data[0]) for data in audit[:n_steps]],
+                       dtype=float)[:, None]
+    step_is_optimal = np.abs(eta - eta_opt) <= 1e-9 * eta_opt
+    step_near_optimal = np.abs(eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
+    step_is_fixed = np.abs(eta - eta0) <= 1e-12 * eta0
+    # the quadratic bound at the step taken, at eta* and over the audit's sample
+    bound = dist_sq_upper_bound(np.hstack([eta, eta_opt, _step_sample(eta_opt[:, 0], seed)]),
+                                dist_sq=dist_sq, grad_norm_sq=grad_sq, eta_local=local, m=m,
+                                sigma_r=sigma_r)
+    lhs[:n_steps, 2:] = np.array(next_dist_sq, dtype=float)[:, None]
+    lhs[:n_steps, 7] = bound[:, 1]
+    rhs[:n_steps, 2:] = np.hstack([
+        bound[:, :1], (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
+        (1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r) * dist_sq,
+        (1.0 - (12.0 / 25.0) * m * local * sigma_r) * dist_sq,
+        (1.0 - 0.15 * m * eta_opt * sigma_r) * dist_sq,
+        np.min(bound[:, 2:], axis=1, keepdims=True)])
+    applicable[:n_steps, 3:7] &= np.hstack([step_is_fixed | step_near_optimal,
+                                            step_near_optimal, step_is_optimal, step_is_optimal])
+    applicable[:n_steps, 7] = (grad_sq > floor)[:, 0]
 
-def _reports(k: int, data, transition=None) -> list[InequalityReport]:
-    """Every check at iterate k. The point checks always; the transition
-    checks when transition = (step taken, next squared distance) is given.
-    The contraction hypotheses are those listed in check_contraction; the
-    optimal-step audit needs no radius, only a gradient above its floor."""
-    ctx, correlation, inside = data
-    m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
-    reports = [
-        make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,
-                    rhs=ctx.eta_local, applicable=inside),
-        make_report(k, CHECK_REGULARITY,
-                    lhs=_regularity_lhs(ctx.eta_local, ctx.grad_norm_sq, m, sigma_r, dist_sq),
-                    rhs=correlation, applicable=inside),
-    ]
-    if transition is None:
-        return reports
-    eta, dist_sq_next = transition
-    eta_opt = stepsize.eta_optimal(ctx)
-    step_is_optimal = abs(eta - eta_opt) <= 1e-9 * eta_opt
-    step_near_optimal = abs(eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
-    step_is_fixed = abs(eta - eta0) <= 1e-12 * eta0
-    # (name, right-hand side, step hypothesis); the left side is always D2_{k+1}
-    for name, rhs, hypothesis in (
-            (CHECK_DESCENT_QUADRATIC, _bound(ctx, eta), True),
-            (CHECK_CONTRACTION_FIXED, (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
-             step_is_fixed or step_near_optimal),
-            (CHECK_CONTRACTION_ADAPTIVE, (1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r) * dist_sq,
-             step_near_optimal),
-            (CHECK_CONTRACTION_EXACT_LOCAL,
-             (1.0 - (12.0 / 25.0) * m * ctx.eta_local * sigma_r) * dist_sq, step_is_optimal),
-            (CHECK_CONTRACTION_EXACT_OPTIMAL, (1.0 - 0.15 * m * eta_opt * sigma_r) * dist_sq,
-             step_is_optimal)):
-        reports.append(make_report(k, name, lhs=dist_sq_next, rhs=rhs,
-                                   applicable=inside and hypothesis))
-    reports.append(_optimal_step_report(k, ctx, eta_opt))
-    return reports
+    present = (np.arange(n_rows)[:, None] < n_steps) | (np.arange(len(_CHECKS)) < 2)
+    ks, checks = np.nonzero(present)
+    lhs, rhs, applicable = lhs[present], rhs[present], applicable[present]
+    slack = rhs - lhs
+    holds = slack >= -(_TOL_ABS[checks] + _TOL_REL[checks] * np.abs(rhs))
+    return [InequalityReport(k, _CHECKS[check], *row) for k, check, *row in zip(
+        (ks + k0).tolist(), checks.tolist(), lhs.tolist(), rhs.tolist(), slack.tolist(),
+        holds.tolist(), applicable.tolist())]
 
 
 def _require_audit(traj: Trajectory) -> None:
@@ -176,27 +174,18 @@ def _require_audit(traj: Trajectory) -> None:
         raise ValueError("trajectory has no audit data; rerun with audit=True")
 
 
-def _reports_at(traj: Trajectory, k: int) -> list[InequalityReport]:
-    """All reports of iterate k, with the outgoing transition unless k is last."""
-    if k == len(traj.records) - 1:
-        return _reports(k, traj.audit[k])
-    return _reports(k, traj.audit[k], (traj.records[k].eta, traj.records[k + 1].dist_sq))
-
-
-def _select(reports: list[InequalityReport], name: str) -> InequalityReport:
-    return next(rep for rep in reports if rep.name == name)
-
-
 def _transition_report(traj: Trajectory, k: int, name: str) -> InequalityReport:
     _require_audit(traj)
     if not 0 <= k < len(traj.records) - 1:
         raise IndexError(f"transition {k} out of range (0..{len(traj.records) - 2})")
-    return _select(_reports_at(traj, k), name)
+    return _reports(traj.audit[k:k + 1], [traj.records[k].eta],
+                    [traj.records[k + 1].dist_sq], k0=k)[_CHECKS.index(name)]
 
 
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
     eta0 = prepare(problem, StepPolicy.fixed()).eta0
-    return _select(_reports(k, _check_data(problem, _evaluate(problem, u), eta0)), name)
+    data = _check_data(problem, _evaluate(problem, u), eta0)
+    return _reports([data], [], [], k0=k)[_CHECKS.index(name)]
 
 
 def check_local_step_floor(problem: Problem, u, k: int = 0) -> InequalityReport:
@@ -247,7 +236,7 @@ def check_contraction(problem: Problem, traj: Trajectory, k: int,
 def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     """The optimal step really minimizes the quadratic bound: no sampled step
     in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL."""
-    return _optimal_step_report(0, ctx, stepsize.eta_optimal(ctx), seed).holds
+    return _reports([(ctx, 0.0, False)], [0.0], [ctx.dist_sq], seed=seed)[-1].holds
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
@@ -267,7 +256,6 @@ def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityRep
     evaluated again.
     """
     _require_audit(traj)
-    reports: list[InequalityReport] = []
-    for k in range(len(traj.records)):
-        reports += _reports_at(traj, k)
-    return reports
+    records = traj.records
+    return _reports(traj.audit, [rec.eta for rec in records[:-1]],
+                    [rec.dist_sq for rec in records[1:]])

@@ -48,7 +48,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not val:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
@@ -115,7 +115,6 @@ _CONFIG_TABLE = {
     "checks": (("checks_enabled",), _parse_bool),
     "out": (("output_dir",), str),
 }
-_CONFIG_KEYS = tuple(_CONFIG_TABLE)
 
 
 def _set_field(values: dict, key: str, raw) -> None:
@@ -183,7 +182,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     seeds = _parse_seed_range(args.seed)
-    total_applicable = total_failures = 0
+    total_applicable = total_failures = total_failed_runs = 0
     for seed in seeds:
         config = _checked(
             ExperimentConfig, n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
@@ -192,20 +191,24 @@ def _cmd_verify(args) -> int:
             delta_rho=args.delta_rho, checks_enabled=True,
             output_dir=str(Path(args.out) / f"seed-{seed}") if args.out else ".")
         artifact = run_comparison(config)
-        applicable = failures = 0
-        for entry in artifact.summary["checks"].values():
-            applicable += entry["applicable"]
-            failures += entry["failures"]
-        if artifact.failures:
-            failures += len(artifact.failures)
+        checks = artifact.summary["checks"].values()
+        applicable = sum(entry["applicable"] for entry in checks)
+        failures = sum(entry["failures"] for entry in checks)
         if args.out:
             export_csv(artifact)
         total_applicable += applicable
         total_failures += failures
-        print(f"seed {seed}: {applicable} applicable checks, {failures} failures")
-    print(f"total: {total_applicable} applicable checks, {total_failures} failures "
-          f"across {len(seeds)} seed(s)")
-    return 1 if total_failures else 0
+        total_failed_runs += len(artifact.failures)
+        print(f"seed {seed}: {applicable} applicable checks, {failures} failures"
+              + _failed_runs(len(artifact.failures)))
+    print(f"total: {total_applicable} applicable checks, {total_failures} failures"
+          + _failed_runs(total_failed_runs) + f" across {len(seeds)} seed(s)")
+    return 1 if total_failures or total_failed_runs else 0
+
+
+def _failed_runs(count: int) -> str:
+    """The suffix naming the policies that failed to run, if any did."""
+    return f", {count} failed run(s)" if count else ""
 
 
 def _cmd_reproduce_figures(args) -> int:

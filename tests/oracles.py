@@ -3,11 +3,21 @@
 These deliberately avoid the library's own code paths: the alignment oracle
 enumerates the orthogonal group directly (sign flip for r=1, a fine rotation
 grid times an optional reflection for r=2), the derivative oracle uses
-central differences, and the dense reference forms X = U U^T, X - A and
-grad f(X) as n x n arrays and takes their full SVDs.
+central differences, the dense reference forms X = U U^T, X - A and
+grad f(X) as n x n arrays and takes their full SVDs, and the report
+reference evaluates the inequality checks one iterate and one report at a
+time in plain Python floats.
 """
 
 import numpy as np
+
+from factordescent import stepsize
+from factordescent.bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
+                                  CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
+                                  CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
+                                  CHECK_OPTIMAL_STEP, CHECK_REGULARITY, GRID_POINTS,
+                                  OPTIMAL_STEP_TOL, RANDOM_DRAWS, TOL_ABS, TOL_REL,
+                                  InequalityReport)
 
 ROTATION_GRID_STEP = 1e-4
 
@@ -81,3 +91,85 @@ def dense_eta_local(big_m, grad, u):
     x_norm = np.linalg.svd(u @ u.T, compute_uv=False)[0]
     projected_norm = np.linalg.svd(grad @ q @ q.T, compute_uv=False)[0]
     return 1.0 / (16.0 * (big_m * x_norm + projected_norm))
+
+
+def make_report(k, name, lhs, rhs, applicable=True, tol_abs=TOL_ABS, tol_rel=TOL_REL):
+    slack = rhs - lhs
+    holds = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
+    return InequalityReport(k=int(k), name=name, lhs=float(lhs), rhs=float(rhs),
+                            slack=float(slack), holds=holds, applicable=bool(applicable))
+
+
+def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
+    return 0.8 * eta_local * grad_norm_sq + 0.15 * m * sigma_r * dist_sq
+
+
+def _bound(ctx, eta):
+    """The quadratic bound on the next squared distance at step eta."""
+    return (eta * eta * ctx.grad_norm_sq + ctx.dist_sq
+            - 2.0 * eta * _regularity_lhs(ctx.eta_local, ctx.grad_norm_sq, ctx.m,
+                                          ctx.sigma_r, ctx.dist_sq))
+
+
+def _step_sample(eta_opt, seed):
+    """GRID_POINTS steps of linspace(0, 2 eta*), then RANDOM_DRAWS uniform
+    draws in [0, 2 eta*] from a fresh generator on seed."""
+    top = 2.0 * eta_opt
+    return np.concatenate([np.linspace(0.0, top, GRID_POINTS),
+                           np.random.default_rng(seed).uniform(0.0, top, RANDOM_DRAWS)])
+
+
+def _optimal_step_report(k, ctx, eta_opt, seed=0):
+    """The bound at eta* against its minimum over a grid of [0, 2 eta*] plus
+    uniform draws; applicable while the gradient is above its floor."""
+    return make_report(k, CHECK_OPTIMAL_STEP, lhs=_bound(ctx, eta_opt),
+                       rhs=float(np.min(_bound(ctx, _step_sample(eta_opt, seed)))),
+                       applicable=ctx.grad_norm_sq > ctx.grad_floor,
+                       tol_abs=OPTIMAL_STEP_TOL, tol_rel=0.0)
+
+
+def _reports(k, data, transition=None):
+    """Every check at iterate k. The point checks always; the transition
+    checks when transition = (step taken, next squared distance) is given."""
+    ctx, correlation, inside = data
+    m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
+    reports = [
+        make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,
+                    rhs=ctx.eta_local, applicable=inside),
+        make_report(k, CHECK_REGULARITY,
+                    lhs=_regularity_lhs(ctx.eta_local, ctx.grad_norm_sq, m, sigma_r, dist_sq),
+                    rhs=correlation, applicable=inside),
+    ]
+    if transition is None:
+        return reports
+    eta, dist_sq_next = transition
+    eta_opt = stepsize.eta_optimal(ctx)
+    step_is_optimal = abs(eta - eta_opt) <= 1e-9 * eta_opt
+    step_near_optimal = abs(eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
+    step_is_fixed = abs(eta - eta0) <= 1e-12 * eta0
+    # (name, right-hand side, step hypothesis); the left side is always D2_{k+1}
+    for name, rhs, hypothesis in (
+            (CHECK_DESCENT_QUADRATIC, _bound(ctx, eta), True),
+            (CHECK_CONTRACTION_FIXED, (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
+             step_is_fixed or step_near_optimal),
+            (CHECK_CONTRACTION_ADAPTIVE, (1.0 - (9.0 / 80.0) * m * eta_opt * sigma_r) * dist_sq,
+             step_near_optimal),
+            (CHECK_CONTRACTION_EXACT_LOCAL,
+             (1.0 - (12.0 / 25.0) * m * ctx.eta_local * sigma_r) * dist_sq, step_is_optimal),
+            (CHECK_CONTRACTION_EXACT_OPTIMAL, (1.0 - 0.15 * m * eta_opt * sigma_r) * dist_sq,
+             step_is_optimal)):
+        reports.append(make_report(k, name, lhs=dist_sq_next, rhs=rhs,
+                                   applicable=inside and hypothesis))
+    reports.append(_optimal_step_report(k, ctx, eta_opt))
+    return reports
+
+
+def reference_reports(traj):
+    """Every report of an audited trajectory, built iterate by iterate: the
+    reference that bounds.trajectory_reports must equal row for row."""
+    reports = []
+    last = len(traj.records) - 1
+    for k, data in enumerate(traj.audit):
+        transition = None if k == last else (traj.records[k].eta, traj.records[k + 1].dist_sq)
+        reports += _reports(k, data, transition)
+    return reports

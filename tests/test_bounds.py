@@ -9,10 +9,13 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            StepPolicy, check_contraction, check_descent_bound,
                            check_local_step_floor, check_optimal_step,
                            check_regularity, dist_sq_upper_bound, eta_estimated,
-                           init_near, make_problem, matrix_factorization, prepare,
+                           init_far, init_near, make_problem, matrix_factorization, prepare,
                            run, step, step_context_at, trajectory_reports)
 from factordescent import bounds, descent, stepsize
 from factordescent.bounds import CONTRACTION_VARIANTS
+from factordescent.descent import TERMINATED_DIVERGED, Trajectory
+
+from oracles import reference_reports
 
 
 def make_instance(n=20, r=2, seed=0, safety=0.5):
@@ -233,16 +236,17 @@ class TestOptimalStep:
     def test_sample_is_linspace_and_uniform_bit_for_bit(self):
         # the grid and the draws are built from a unit sample made once per
         # seed; scaled by 2 eta* they are the bits of linspace(0, 2 eta*, 41)
-        # and uniform(0, 2 eta*, 20)
+        # and uniform(0, 2 eta*, 20), one row per eta* of a batched call
         assert (bounds.GRID_POINTS, bounds.RANDOM_DRAWS) == (41, 20)
         etas = 10.0 ** np.random.default_rng(23).uniform(-12.0, 3.0, 100_000)
-        grids = np.linspace(0.0, 2.0 * etas, 41, axis=1)
-        for i, eta in enumerate(etas):
-            sample = bounds._step_sample(eta, 0)
-            assert np.array_equal(sample[:41], grids[i])
-            if i % 50 == 0:
-                draws = np.random.default_rng(0).uniform(0.0, 2.0 * eta, 20)
-                assert np.array_equal(sample[41:], draws)
+        samples = bounds._step_sample(etas, 0)
+        assert samples.shape == (100_000, 61)
+        assert np.array_equal(samples[:, :41], np.linspace(0.0, 2.0 * etas, 41, axis=1))
+        for i in range(0, len(etas), 50):
+            draws = np.random.default_rng(0).uniform(0.0, 2.0 * etas[i], 20)
+            assert np.array_equal(samples[i, 41:], draws)
+        # a scalar eta* gives the one row of the batch
+        assert np.array_equal(bounds._step_sample(etas[7], 0), samples[7])
 
     def test_contexts_from_runs(self):
         problem = make_instance(n=25, r=3, seed=800)
@@ -363,3 +367,58 @@ class TestSinglePass:
         audit = [rep for rep in trajectory_reports(problem, traj)
                  if rep.name == CHECK_OPTIMAL_STEP and rep.applicable]
         assert audit and not all(rep.holds for rep in audit)
+
+
+class TestScalarReference:
+    """trajectory_reports equals, field for field, the reference that builds
+    each report of each iterate on its own in plain Python floats."""
+
+    @staticmethod
+    def assert_rows_equal(problem, traj):
+        reports = trajectory_reports(problem, traj)
+        reference = reference_reports(traj)
+        assert len(reports) == len(reference)
+        for got, want in zip(reports, reference):
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), (got, want)
+        return reports
+
+    def test_near_fixed_run(self):
+        problem = make_instance(n=25, r=3, seed=1100)
+        reports = self.assert_rows_equal(problem, near_run(problem, StepPolicy.fixed()))
+        applicable = [rep for rep in reports if rep.applicable]
+        assert applicable and all(rep.holds for rep in applicable)
+
+    def test_exact_run_with_estimation_noise(self):
+        problem = make_instance(n=25, r=3, seed=1101)
+        traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=0.5), delta_seed=3)
+        self.assert_rows_equal(problem, traj)
+
+    def test_far_practical_run_is_not_applicable(self):
+        near = make_instance(n=25, r=2, seed=1102)
+        problem = make_problem(near.objective, init_far(near.u_star, 9), u_star=near.u_star)
+        # every iterate of the first ten transitions lies outside the radius
+        traj = near_run(problem, StepPolicy.adaptive_practical(), max_iters=10)
+        assert not any(inside for _, _, inside in traj.audit)
+        reports = self.assert_rows_equal(problem, traj)
+        assert not any(rep.applicable for rep in reports if rep.name != CHECK_OPTIMAL_STEP)
+
+    def test_diverging_run(self, monkeypatch):
+        # a million-fold anchored step, as in the engine's divergence test
+        problem = make_instance(seed=37)
+        with monkeypatch.context() as patch:
+            patch.setattr(stepsize, "eta_fixed", lambda M, x0, grad0: 1e6)
+            traj = near_run(problem, StepPolicy.fixed(), max_iters=50, rel_tol=1e-12)
+        assert traj.terminated == TERMINATED_DIVERGED and len(traj.records) > 1
+        self.assert_rows_equal(problem, traj)
+
+    def test_one_record_run(self):
+        problem = make_instance(seed=1103)
+        traj = near_run(problem, StepPolicy.adaptive_exact(), rel_tol=1.0)
+        reports = self.assert_rows_equal(problem, traj)
+        assert [rep.name for rep in reports] == [CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY]
+
+    def test_empty_audit(self):
+        problem = make_instance(seed=1104)
+        empty = Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])
+        assert trajectory_reports(problem, empty) == reference_reports(empty) == []

@@ -229,6 +229,38 @@ class TestFailureExitCodes:
                    if rep.applicable and not rep.holds}
         assert {"regularity", "descent_quadratic"} <= failing
 
+    def test_verify_counts_failed_runs_apart_from_failed_checks(self, monkeypatch, capsys):
+        import factordescent.cli as cli_mod
+        fake = self._fake_artifact({})
+        fake.failures = {"adaptive-exact": "non-finite update at iteration 3"}
+        monkeypatch.setattr(cli_mod, "run_comparison", lambda cfg: fake)
+        assert cli_mod.main(["verify", "--seed", "1"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "seed 1: 0 applicable checks, 0 failures, 1 failed run(s)",
+            "total: 0 applicable checks, 0 failures, 1 failed run(s) across 1 seed(s)"]
+
+    def test_verify_exits_1_when_the_strong_convexity_constant_is_wrong(
+            self, monkeypatch, capsys):
+        # m = 20 instead of 2 overstates every contraction factor's rate:
+        # the runs complete and the checks fail
+        from factordescent import (ExperimentConfig, Objective, run_comparison,
+                                   trajectory_reports)
+        monkeypatch.setattr(Objective, "m", 20.0)
+        assert main(["verify", "--seed", "1..2", "--n", "20", "--r", "2",
+                     "--max-iters", "30"]) == 1
+        total = capsys.readouterr().out.splitlines()[-1]
+        assert "failed run(s)" not in total
+        assert int(total.split(", ")[1].split()[0]) > 0
+        artifact = run_comparison(ExperimentConfig(
+            n=20, r=2, seed=1, policies=("fgd", "adaptive-exact"), max_iters=30,
+            delta_rho=0.5, checks_enabled=True))
+        assert not artifact.failures
+        failing = [rep for rep in trajectory_reports(artifact.problem,
+                                                     artifact.trajectories["fgd"])
+                   if rep.name == "contraction_fixed_step" and rep.applicable
+                   and not rep.holds]
+        assert failing
+
     def test_run_exits_1_when_a_policy_fails(self, monkeypatch, tmp_path):
         import factordescent.cli as cli_mod
         fake = self._fake_artifact({})
