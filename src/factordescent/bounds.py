@@ -40,6 +40,7 @@ import numpy as np
 
 from . import stepsize
 from .descent import Problem, Trajectory, _check_data, _evaluate, prepare
+from .geometry import as_factor
 from .stepsize import StepContext, StepPolicy
 
 TOL_ABS = 1e-9
@@ -184,7 +185,7 @@ def _transition_report(traj: Trajectory, k: int, name: str) -> InequalityReport:
 
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
     eta0 = prepare(problem, StepPolicy.fixed()).eta0
-    data = _check_data(problem, _evaluate(problem, u), eta0)
+    data = _check_data(problem, _evaluate(problem, as_factor(u)), eta0)
     return _reports([data], [], [], k0=k)[_CHECKS.index(name)]
 
 

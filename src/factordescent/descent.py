@@ -15,16 +15,17 @@ taken next. An audited run also keeps, per iterate, the data the checks in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import stepsize
 from .errors import (MissingGroundTruthError, NumericalBlowupError, ShapeMismatchError,
                      ZeroMatrixError)
-from .geometry import as_factor, dist, procrustes_align, sigma_min_positive, spectral_norm
+from .geometry import (_EPS, _frobenius, _procrustes, as_factor, dist, sigma_min_positive,
+                       spectral_norm)
 from .objectives import FactoredEvaluation, Objective
 from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, StepContext, StepPolicy
 
@@ -57,7 +58,7 @@ class Problem:
         """(anchored fixed step, g(U0)), computed on first use and shared by
         every run on this instance: the one evaluation of U0, with the
         spectral norms of X0 and grad f(X0) read off its small QR core."""
-        start = _evaluate(self, self.u0).f
+        start = _evaluate(self, as_factor(self.u0)).f
         return stepsize.eta_fixed(self.objective.M, start.x_norm, start.grad_norm), start.g
 
 
@@ -144,9 +145,10 @@ def _radius(sigma_r_xstar: float, sigma1_xstar: float, kappa: float) -> float:
 def start_radius(u_star, kappa: float = 1.0) -> float:
     """Largest starting distance the contraction analysis tolerates:
     sqrt(sigma_r(X*)) / (100 kappa) * sigma_r(X*) / sigma_1(X*)."""
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError("kappa must be positive and finite")
     u_star = as_factor(u_star)
-    return _radius(sigma_min_positive(u_star) ** 2,
-                   spectral_norm(u_star) ** 2, kappa)
+    return _radius(sigma_min_positive(u_star) ** 2, spectral_norm(u_star) ** 2, kappa)
 
 
 def _problem_radius(problem: Problem) -> float:
@@ -160,6 +162,54 @@ def check_init_condition(problem: Problem) -> InitCheck:
     rhs = _problem_radius(problem)  # raises without a ground truth
     lhs = dist(problem.u0, problem.u_star)
     return InitCheck(holds=bool(lhs <= rhs), lhs=float(lhs), rhs=rhs)
+
+
+def _brentq(f, a: float, b: float, xtol: float, maxiter: int) -> float:
+    """A root of f in [a, b] by Brent's method: a step-for-step port of
+    scipy.optimize.brentq (rtol = 4 eps), returning the same float. Raises
+    ValueError when f(a) and f(b) share a sign or f returns NaN, and
+    RuntimeError when maxiter iterations do not converge."""
+    rtol = 4.0 * _EPS
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        # a short interpolated or extrapolated step when it is good, else bisect
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}.")
 
 
 def init_near(u_star, seed, safety: float = 0.5, kappa: float = 1.0) -> np.ndarray:
@@ -183,7 +233,7 @@ def init_near(u_star, seed, safety: float = 0.5, kappa: float = 1.0) -> np.ndarr
 
     # gap(0) = -target < 0; dist >= t - 2 ||U*||_F makes the upper end positive
     hi = target + 2.0 * float(np.linalg.norm(u_star)) + 1.0
-    scale = brentq(gap, 0.0, hi, xtol=1e-30, maxiter=200)
+    scale = _brentq(gap, 0.0, hi, xtol=1e-30, maxiter=200)
     return u_star + scale * direction
 
 
@@ -231,21 +281,20 @@ class _Evaluation:
     dist_sq: float | None
 
 
-def _evaluate(problem: Problem, u, k: int = 0) -> _Evaluation:
-    """Everything the step rules and the checks read at iterate k. Raises
-    NumericalBlowupError when g, the direction or the gradient scale is not
-    finite."""
-    u = as_factor(u)
+def _evaluate(problem: Problem, u: np.ndarray, k: int = 0) -> _Evaluation:
+    """Everything the step rules and the checks read at a finite factor U
+    (not validated) at iterate k. Raises NumericalBlowupError when g, the
+    direction or the gradient scale is not finite."""
     # overflow to inf is the divergence signal here, not a warning condition
     with np.errstate(over="ignore", invalid="ignore"):
         f = problem.objective.evaluate(u)
-    if not (np.isfinite(f.g) and np.all(np.isfinite(f.direction))):
+    if not (math.isfinite(f.g) and np.isfinite(f.direction).all()):
         raise NumericalBlowupError(f"objective or direction not finite at iteration {k}")
     scale = stepsize._gradient_scale(f.r1)  # ||R1||_F = ||U||_F
     error = distance = dist_sq = None
     if problem.u_star is not None:
-        error = u - problem.u_star @ procrustes_align(u, problem.u_star)
-        distance = float(np.linalg.norm(error))
+        error = u - problem.u_star @ _procrustes(u, problem.u_star)
+        distance = _frobenius(error)
         dist_sq = distance ** 2
     return _Evaluation(u=u, f=f, scale=scale, error=error, dist=distance, dist_sq=dist_sq)
 
@@ -295,6 +344,7 @@ def step(u, policy: StepPolicy, problem: Problem, *,
     finite; an exact step lends it its own eta_local. Raises
     NumericalBlowupError when the iterate or the update is not finite.
     """
+    u = as_factor(u)
     if state is None:
         state = prepare(problem, policy)
     point = _evaluate(problem, u, k)
@@ -325,7 +375,7 @@ def step(u, policy: StepPolicy, problem: Problem, *,
 
     with np.errstate(over="ignore", invalid="ignore"):
         u_next = point.u - eta_k * point.f.direction
-    if not np.all(np.isfinite(u_next)):
+    if not np.isfinite(u_next).all():
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
     if audit is not None:
         audit.append(_check_data(problem, point, state.eta0, local))

@@ -206,22 +206,14 @@ def _summarize(artifact: RunArtifact) -> dict:
     }
 
 
-def _fmt(x) -> str:
-    # shortest representation that round-trips to the same binary float
-    return repr(float(x))
+_BOOL = {True: "true", False: "false"}
 
 
 def _iterate_rows(traj: Trajectory):
     for rec in traj.records:
-        yield ",".join([
-            str(rec.k),
-            _fmt(rec.g_value),
-            _fmt(rec.rel_error),
-            "" if rec.dist_sq is None else _fmt(rec.dist_sq),
-            _fmt(rec.eta),
-            _fmt(rec.grad_norm_sq),
-            _fmt(rec.delta),
-        ])
+        dist_sq = "" if rec.dist_sq is None else repr(rec.dist_sq)
+        yield (f"{rec.k},{rec.g_value!r},{rec.rel_error!r},{dist_sq},{rec.eta!r},"
+               f"{rec.grad_norm_sq!r},{rec.delta!r}")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -244,12 +236,9 @@ def export_csv(artifact: RunArtifact, out_dir=None) -> list[Path]:
     if artifact.reports:
         rows = [CHECKS_HEADER]
         for label in artifact.trajectories:
-            for rep in artifact.reports.get(label, []):
-                rows.append(",".join([
-                    str(rep.k), rep.name, _fmt(rep.lhs), _fmt(rep.rhs),
-                    _fmt(rep.slack), str(rep.holds).lower(),
-                    str(rep.applicable).lower(),
-                ]))
+            rows += [f"{rep.k},{rep.name},{rep.lhs!r},{rep.rhs!r},{rep.slack!r},"
+                     f"{_BOOL[rep.holds]},{_BOOL[rep.applicable]}"
+                     for rep in artifact.reports.get(label, [])]
         path = out / "checks.csv"
         _write_text(path, "\n".join(rows) + "\n")
         written.append(path)

@@ -14,13 +14,17 @@ matrices with NaN or Inf entries are rejected at the boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from .errors import InvalidMatrixError, ShapeMismatchError, ZeroMatrixError
 
 # Absolute floor below which a singular value never counts as positive,
 # regardless of matrix scale.
 _SIGMA_FLOOR = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -30,7 +34,7 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidMatrixError(f"expected a 2-d array, got ndim={m.ndim}")
     if min(m.shape) < 1:
         raise InvalidMatrixError(f"matrix must be non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InvalidMatrixError("matrix entries must be finite")
     return m
 
@@ -56,7 +60,7 @@ def spectral_norm(m) -> float:
 
 def _positive_tol(shape: tuple[int, int], sigma: np.ndarray) -> float:
     # standard numerical-rank convention, with an absolute floor
-    return max(max(shape) * np.finfo(float).eps * float(sigma[0]), _SIGMA_FLOOR)
+    return max(max(shape) * _EPS * float(sigma[0]), _SIGMA_FLOOR)
 
 
 def sigma_min_positive(m) -> float:
@@ -73,6 +77,26 @@ def sigma_min_positive(m) -> float:
     return float(positive[-1])
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """||A||_F with the operations of np.linalg.norm, without its wrapper."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK routine from scipy, raising on a nonzero info code."""
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
+    return out
+
+
+def _procrustes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """procrustes_align for two finite factors of one shape (not validated)."""
+    p, _, qt = _lapack(dgesdd, v.T @ u)
+    return p @ qt
+
+
 def procrustes_align(u, v) -> np.ndarray:
     """Orthonormal r x r matrix R minimizing ||U - V R||_F.
 
@@ -84,8 +108,7 @@ def procrustes_align(u, v) -> np.ndarray:
     u = as_factor(u)
     v = as_factor(v)
     require_same_shape(u, v)
-    p, _, qt = np.linalg.svd(v.T @ u)
-    return p @ qt
+    return _procrustes(u, v)
 
 
 def dist(u, v) -> float:
@@ -97,5 +120,5 @@ def dist(u, v) -> float:
     u = as_factor(u)
     v = as_factor(v)
     require_same_shape(u, v)
-    return float(np.linalg.norm(u - v @ procrustes_align(u, v)))
+    return _frobenius(u - v @ _procrustes(u, v))
 

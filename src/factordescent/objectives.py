@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from .errors import InvalidMatrixError, ZeroMatrixError
-from .geometry import _positive_tol, as_factor, as_matrix, require_same_shape
+from .geometry import _lapack, _positive_tol, as_factor, as_matrix, require_same_shape
 
 
 def mf_value(a, x) -> float:
@@ -60,14 +60,6 @@ def _upper(rows: int, cols: int) -> np.ndarray:
     mask = np.triu(np.ones((rows, cols)))
     mask.flags.writeable = False
     return mask
-
-
-def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine from scipy, raising on a nonzero info code."""
-    *out, info = routine(*args, **kwargs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
-    return out
 
 
 class FactoredEvaluation:

@@ -21,12 +21,14 @@ dist^2 + delta. Whenever |delta| <= dist^2 / 2, the result stays within
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateProblemError, NegativeEstimateError, NumericalBlowupError,
                      ZeroGradientError)
+from .geometry import _frobenius
 
 FIXED_FGD = "fgd"
 ADAPTIVE_EXACT = "adaptive-exact"
@@ -122,21 +124,23 @@ def eta_local(M: float, x_norm: float, projected_grad_norm: float) -> float:
 _GRAD_FLOOR = 1e-14
 
 
-def _gradient_scale(u) -> float:
+def _gradient_scale(u: np.ndarray) -> float:
     """max(1, ||U||_F)^4, the scale of ||grad f(X) U||_F^2 that the
     gradient floors are relative to. Raises NumericalBlowupError when it
     overflows."""
-    with np.errstate(over="ignore"):
-        scale = np.float64(max(1.0, float(np.linalg.norm(u)))) ** 4
-    if not np.isfinite(scale):
+    try:
+        scale = max(1.0, _frobenius(u)) ** 4
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
         raise NumericalBlowupError("||U||_F^4 overflows")
-    return float(scale)
+    return scale
 
 
 def grad_floor(u) -> float:
     """Threshold on ||grad f(X) U||_F^2 below which the distance-driven term
     of an adaptive step is numerically meaningless."""
-    return _GRAD_FLOOR * _gradient_scale(u)
+    return _GRAD_FLOOR * _gradient_scale(np.asarray(u, dtype=float))
 
 
 def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
                            CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
-                           CHECK_OPTIMAL_STEP, CHECK_REGULARITY, StepContext,
+                           CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InvalidMatrixError, StepContext,
                            StepPolicy, check_contraction, check_descent_bound,
                            check_local_step_floor, check_optimal_step,
                            check_regularity, dist_sq_upper_bound, eta_estimated,
@@ -56,6 +56,13 @@ class TestLocalStepFloor:
         problem = make_instance(n=30, r=r, seed=100 + seed)
         report = check_local_step_floor(problem, problem.u0)
         assert report.applicable and report.holds
+
+    def test_nan_iterate_raises(self):
+        problem = make_instance(seed=2)
+        nan_u = problem.u0.copy()
+        nan_u[1, 0] = np.nan
+        with pytest.raises(InvalidMatrixError):
+            check_local_step_floor(problem, nan_u)
 
     def test_far_iterate_not_applicable(self):
         problem = make_instance(seed=2)

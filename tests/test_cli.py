@@ -9,6 +9,17 @@ import pytest
 from factordescent.cli import ConfigError, main, parse_config_text
 
 
+def test_cli_import_loads_no_scipy_optimize():
+    # scipy serves LAPACK only; the start's root bracketing is a port of brentq
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import factordescent.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
+    assert out == "False\n"
+
+
 class TestUsage:
     def test_no_arguments_exits_2(self, capsys):
         assert main([]) == 2

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
-from factordescent import (MissingGroundTruthError, NumericalBlowupError, StepPolicy,
-                           TERMINATED_DIVERGED, TERMINATED_TOLERANCE, ZeroMatrixError,
+from factordescent import (InvalidMatrixError, MissingGroundTruthError, NumericalBlowupError,
+                           StepPolicy, TERMINATED_DIVERGED, TERMINATED_TOLERANCE, ZeroMatrixError,
                            check_init_condition, check_local_step_floor, dist,
                            init_far, init_near, make_problem,
                            matrix_factorization, prepare, run,
                            sigma_min_positive, start_radius, step, stepsize)
+from factordescent import descent
 
 from oracles import random_orthonormal
 
@@ -103,6 +107,72 @@ class TestInitNear:
         with pytest.raises(ValueError):
             init_near(np.eye(3)[:, :1], 0, safety=1.5)
 
+    @pytest.mark.parametrize("kappa", [-1.0, math.inf, math.nan, 0.0])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        u_star = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 2))
+        with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+            start_radius(u_star, kappa=kappa)
+        with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+            init_near(u_star, 0, kappa=kappa)
+
+
+class TestBrentq:
+    """descent._brentq is a port of scipy.optimize.brentq and must return
+    the same float."""
+
+    @pytest.mark.parametrize("n, r", [(20, 2), (50, 3), (200, 5)])
+    def test_equals_scipy_on_init_near_gaps(self, n, r, monkeypatch):
+        port, ours, theirs = descent._brentq, [], []
+
+        def both(f, a, b, **kwargs):
+            ours.append(port(f, a, b, **kwargs))
+            theirs.append(scipy.optimize.brentq(f, a, b, **kwargs))
+            return ours[-1]
+
+        monkeypatch.setattr(descent, "_brentq", both)
+        for seed in range(200):
+            u_star = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, r))
+            for safety in (0.01, 0.5, 1.0):
+                init_near(u_star, seed, safety=safety)
+        assert len(ours) == 600
+        assert ours == theirs
+
+    def test_equals_scipy_on_random_cubics(self):
+        rng = np.random.default_rng(0)
+        brackets = 0
+        for _ in range(2000):
+            roots = np.sort(rng.uniform(-10.0, 10.0, 3))
+            scale = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+
+            def cubic(x):
+                return scale * (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+
+            a, b = rng.uniform(-12.0, 12.0, 2)
+            if cubic(a) * cubic(b) >= 0.0:
+                continue
+            for xtol, maxiter in ((2e-12, 100), (1e-30, 200), (1e-3, 100)):
+                brackets += 1
+                assert (descent._brentq(cubic, a, b, xtol=xtol, maxiter=maxiter)
+                        == scipy.optimize.brentq(cubic, a, b, xtol=xtol, maxiter=maxiter))
+        assert brackets > 1000
+
+    def test_root_at_an_end_is_returned(self):
+        assert descent._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12, maxiter=10) == 1.0
+        assert descent._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12, maxiter=10) == 3.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            descent._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=100)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            descent._brentq(lambda x: math.nan, 0.0, 1.0, xtol=1e-12, maxiter=100)
+
+    def test_too_few_iterations_raise(self):
+        for solver in (descent._brentq, scipy.optimize.brentq):
+            with pytest.raises(RuntimeError, match="Failed to converge"):
+                solver(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-30, maxiter=2)
+
 
 class TestInitFar:
     def test_entries_within_scale(self):
@@ -164,6 +234,17 @@ class TestStep:
         assert record.eta == pytest.approx(1.0 / 224.0, rel=1e-15)
         assert u_next[0, 0] == pytest.approx(2.0 - 12.0 / 224.0, rel=1e-15)
         assert record.grad_norm_sq == pytest.approx(144.0)
+
+    @pytest.mark.parametrize("bad", ["nan", "wide"])
+    def test_invalid_iterate_raises(self, bad):
+        problem = make_instance()
+        u = problem.u0.copy()
+        if bad == "nan":
+            u[0, 0] = np.nan
+        else:
+            u = u.T
+        with pytest.raises(InvalidMatrixError):
+            step(u, StepPolicy.fixed(), problem)
 
     def test_monotone_descent_from_near_start(self):
         problem = make_instance(seed=21)

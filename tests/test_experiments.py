@@ -169,6 +169,25 @@ class TestExportCsv:
             assert float(cells[5]) == rec.grad_norm_sq
             assert float(cells[6]) == rec.delta
 
+    def test_rows_match_joined_cells(self, tmp_path):
+        # each row is the cells joined by commas: str for ints and names,
+        # repr(float) for floats, lower-case booleans, "" for no distance
+        art = run_comparison(small_config(checks_enabled=True))
+        export_csv(art, tmp_path)
+        expected = [CHECKS_HEADER]
+        for label, traj in art.trajectories.items():
+            rows = [ITERATE_HEADER] + [",".join([
+                str(rec.k), *(repr(float(x)) for x in (rec.g_value, rec.rel_error)),
+                "" if rec.dist_sq is None else repr(float(rec.dist_sq)),
+                *(repr(float(x)) for x in (rec.eta, rec.grad_norm_sq, rec.delta))])
+                for rec in traj.records]
+            assert (tmp_path / f"{label}.csv").read_text() == "\n".join(rows) + "\n"
+            expected += [",".join([
+                str(rep.k), rep.name, *(repr(float(x)) for x in (rep.lhs, rep.rhs, rep.slack)),
+                str(rep.holds).lower(), str(rep.applicable).lower()])
+                for rep in art.reports[label]]
+        assert (tmp_path / "checks.csv").read_text() == "\n".join(expected) + "\n"
+
     def test_plotter_friendly_columns(self, tmp_path):
         art = run_comparison(small_config())
         export_csv(art, tmp_path)

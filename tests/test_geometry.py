@@ -4,6 +4,7 @@ import pytest
 from factordescent import (ShapeMismatchError, ZeroMatrixError, dist,
                            matrix_factorization, procrustes_align,
                            sigma_min_positive, spectral_norm)
+from factordescent.geometry import _procrustes
 
 from oracles import brute_force_dist, random_orthonormal
 
@@ -141,6 +142,20 @@ class TestProcrustesAlign:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             procrustes_align(np.ones((3, 1)), np.ones((4, 1)))
+
+    def test_unchecked_form_is_bit_identical(self):
+        # the engine's unchecked form, the public one, and the numpy SVD
+        # formula it replaced agree bit for bit
+        rng = np.random.default_rng(300)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            r = int(rng.integers(1, min(n, 6) + 1))
+            u = rng.standard_normal((n, r))
+            v = u + 10.0 ** rng.uniform(-8.0, 0.0) * rng.standard_normal((n, r))
+            p, _, qt = np.linalg.svd(v.T @ u)
+            unchecked = _procrustes(u, v)
+            np.testing.assert_array_equal(unchecked, procrustes_align(u, v))
+            np.testing.assert_array_equal(unchecked, p @ qt)
 
 
 class TestDist:
