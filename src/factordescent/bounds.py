@@ -7,12 +7,16 @@ a given iterate (start radius exceeded, step of the wrong kind, estimation
 error out of range) are marked not applicable instead of failed, so sweeps
 over mixed trajectories never count vacuous cases either way.
 
-Contraction factors verified per transition, with D2 = squared distance:
+Contraction factors verified per transition, with D2 = squared distance,
+each applicable inside the start radius and for the steps listed:
 
-* fixed step eta:       D2 shrinks by at least 1 - (3/10)  m eta       sigma_r
-* local step floor:     eta_local >= (5/6) eta everywhere in the radius
+* fixed step eta0:      factor   1 - (3/10)  m eta0      sigma_r,
+                        for the anchored fixed step or any step within
+                        eta* / 2 of the optimal one
+* local step floor:     eta_local >= (5/6) eta0 everywhere in the radius
 * optimal step eta*:    factors  1 - (12/25) m eta_local sigma_r
-                        and      1 - (3/20)  m eta*      sigma_r
+                        and      1 - (3/20)  m eta*      sigma_r,
+                        for the exact optimal step only
 * estimated step:       factor   1 - (9/80)  m eta*      sigma_r,
                         valid whenever |eta_k - eta*| <= eta* / 2
                         (guaranteed by |delta| <= D2 / 2).
@@ -27,8 +31,9 @@ the step context, the correlation <grad f(X) U, U - U* R> and the radius
 test, which an audited run (``run(..., audit=True)``) keeps from the very
 evaluation its step rule used, so the trajectory checks evaluate nothing;
 per transition the step taken and the next squared distance, read off the
-records. The public ``check_*`` functions read rows of the same table: a
-one-transition slice of the audit, or one row for a factor or a context.
+records. ``trajectory_reports`` returns that table, and the check of
+transition k is its row (k, CHECK_*). The point checks evaluate one factor
+and read its two rows.
 """
 
 from __future__ import annotations
@@ -60,14 +65,6 @@ CHECK_CONTRACTION_ADAPTIVE = "contraction_adaptive_step"
 CHECK_CONTRACTION_EXACT_LOCAL = "contraction_exact_local"
 CHECK_CONTRACTION_EXACT_OPTIMAL = "contraction_exact_optimal"
 CHECK_OPTIMAL_STEP = "optimal_step"
-
-# variant argument of check_contraction -> report name
-CONTRACTION_VARIANTS = {
-    "fixed": CHECK_CONTRACTION_FIXED,
-    "adaptive": CHECK_CONTRACTION_ADAPTIVE,
-    "exact_local": CHECK_CONTRACTION_EXACT_LOCAL,
-    "exact_optimal": CHECK_CONTRACTION_EXACT_OPTIMAL,
-}
 
 # the checks of one iterate in report order: two point checks, then the six
 # transition checks, with the absolute and relative tolerance of each
@@ -123,9 +120,9 @@ def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityR
     """Every check over the audit rows k0, k0 + 1, ..., in (k, check) order.
     The point checks run at every row; the transition checks at the first
     len(etas) rows, whose transitions are (etas[i], next_dist_sq[i]) = (step
-    taken, next squared distance). The contraction hypotheses are those
-    listed in check_contraction; the optimal-step audit needs no radius, only
-    a gradient above its floor."""
+    taken, next squared distance). The contraction hypotheses are those in
+    the module docstring; the optimal-step audit needs no radius, only a
+    gradient above its floor."""
     n_rows, n_steps = len(audit), len(etas)
     columns = np.array([(c.eta_fixed, c.eta_local, c.m, c.sigma_r, c.dist_sq, c.grad_norm_sq,
                          c.grad_floor, correlation, inside) for c, correlation, inside in audit],
@@ -175,14 +172,6 @@ def _require_audit(traj: Trajectory) -> None:
         raise ValueError("trajectory has no audit data; rerun with audit=True")
 
 
-def _transition_report(traj: Trajectory, k: int, name: str) -> InequalityReport:
-    _require_audit(traj)
-    if not 0 <= k < len(traj.records) - 1:
-        raise IndexError(f"transition {k} out of range (0..{len(traj.records) - 2})")
-    return _reports(traj.audit[k:k + 1], [traj.records[k].eta],
-                    [traj.records[k + 1].dist_sq], k0=k)[_CHECKS.index(name)]
-
-
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
     eta0 = prepare(problem, StepPolicy.fixed()).eta0
     data = _check_data(problem, _evaluate(problem, as_factor(u)), eta0)
@@ -205,35 +194,6 @@ def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
     return _point_report(problem, u, k, CHECK_REGULARITY)
 
 
-def check_descent_bound(problem: Problem, traj: Trajectory, k: int) -> InequalityReport:
-    """The realized next squared distance sits below the quadratic bound
-    evaluated at the step actually taken. Reads the audit of traj, which
-    must be a run on problem."""
-    return _transition_report(traj, k, CHECK_DESCENT_QUADRATIC)
-
-
-def check_contraction(problem: Problem, traj: Trajectory, k: int,
-                      variant: str = "fixed") -> InequalityReport:
-    """Per-transition contraction of the squared distance.
-
-    Variants and their hypotheses, all additionally requiring the iterate to
-    sit inside the start radius:
-
-    * "fixed":         factor 1 - (3/10) m eta0 sigma_r; the step must be the
-                       anchored fixed one, or within half of the optimal step.
-    * "adaptive":      factor 1 - (9/80) m eta* sigma_r; the step must lie
-                       within half of the optimal step (the estimation model
-                       with |delta| <= dist^2 / 2 guarantees this).
-    * "exact_local":   factor 1 - (12/25) m eta_local sigma_r; exact optimal
-                       step only.
-    * "exact_optimal": factor 1 - (3/20) m eta* sigma_r; exact optimal step
-                       only.
-    """
-    if variant not in CONTRACTION_VARIANTS:
-        raise ValueError(f"unknown contraction variant {variant!r}")
-    return _transition_report(traj, k, CONTRACTION_VARIANTS[variant])
-
-
 def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     """The optimal step really minimizes the quadratic bound: no sampled step
     in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL."""
@@ -253,8 +213,9 @@ def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityRep
 
     Point checks (step floor, regularity) run at each iterate; transition
     checks (quadratic bound, all four contraction factors, optimal step) at
-    each recorded transition. Requires an audited run on problem; nothing is
-    evaluated again.
+    each recorded transition, in (k, check) order: check NAME at iterate k
+    is the row with (rep.k, rep.name) == (k, NAME). Requires an audited run
+    on problem; nothing is evaluated again.
     """
     _require_audit(traj)
     records = traj.records

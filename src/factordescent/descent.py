@@ -61,6 +61,14 @@ class Problem:
         start = _evaluate(self, as_factor(self.u0)).f
         return stepsize.eta_fixed(self.objective.M, start.x_norm, start.grad_norm), start.g
 
+    @cached_property
+    def _start_radius(self) -> float:
+        """The start radius of the contraction analysis, computed on first
+        use; raises without a ground truth."""
+        if self.u_star is None:
+            raise MissingGroundTruthError("start radius needs the ground-truth factor")
+        return _radius(self.sigma_r_xstar, self.sigma1_xstar, self.objective.kappa)
+
 
 def make_problem(objective: Objective, u0, u_star=None) -> Problem:
     """Build a Problem, deriving the spectrum of X* from U* when given.
@@ -151,15 +159,9 @@ def start_radius(u_star, kappa: float = 1.0) -> float:
     return _radius(sigma_min_positive(u_star) ** 2, spectral_norm(u_star) ** 2, kappa)
 
 
-def _problem_radius(problem: Problem) -> float:
-    if problem.u_star is None:
-        raise MissingGroundTruthError("start radius needs the ground-truth factor")
-    return _radius(problem.sigma_r_xstar, problem.sigma1_xstar, problem.objective.kappa)
-
-
 def check_init_condition(problem: Problem) -> InitCheck:
     """Whether dist(U0, U*) is within the start radius."""
-    rhs = _problem_radius(problem)  # raises without a ground truth
+    rhs = problem._start_radius  # raises without a ground truth
     lhs = dist(problem.u0, problem.u_star)
     return InitCheck(holds=bool(lhs <= rhs), lhs=float(lhs), rhs=rhs)
 
@@ -308,7 +310,7 @@ def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=Non
     evaluated iterate: everything the checks in ``bounds`` read. The context
     has the true distance, no estimation error, sigma_r of X* and the
     anchored fixed step eta0; eta_local is computed unless given."""
-    radius = _problem_radius(problem)  # raises without a ground truth
+    radius = problem._start_radius  # raises without a ground truth
     if eta_local is None:
         eta_local = _eta_local(problem, point)
     ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.objective.m,

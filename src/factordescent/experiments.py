@@ -145,17 +145,17 @@ def run_comparison(config: ExperimentConfig) -> RunArtifact:
     problem = generate_instance(config)
     _, _, delta_ss = _seed_streams(config.seed)
     artifact = RunArtifact(config=config, problem=problem)
-    audit = config.checks_enabled and problem.u_star is not None
     for name in config.policies:
         policy = policy_from_name(name, config.delta_rho)
         try:
             traj = run(problem, policy, max_iters=config.max_iters,
-                       rel_tol=config.rel_tol, delta_seed=delta_ss, audit=audit)
+                       rel_tol=config.rel_tol, delta_seed=delta_ss,
+                       audit=config.checks_enabled)
         except FactorDescentError as exc:
             artifact.failures[name] = str(exc)
             continue
         artifact.trajectories[name] = traj
-        if audit:
+        if config.checks_enabled:
             artifact.reports[name] = trajectory_reports(problem, traj)
     artifact.summary = _summarize(artifact)
     return artifact

@@ -3,16 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_FIXED,
+from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
+                           CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                            CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
                            CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InvalidMatrixError, StepContext,
-                           StepPolicy, check_contraction, check_descent_bound,
-                           check_local_step_floor, check_optimal_step,
+                           StepPolicy, check_local_step_floor, check_optimal_step,
                            check_regularity, dist_sq_upper_bound, eta_estimated,
                            init_far, init_near, make_problem, matrix_factorization, prepare,
                            run, step, step_context_at, trajectory_reports)
 from factordescent import bounds, descent, stepsize
-from factordescent.bounds import CONTRACTION_VARIANTS
 from factordescent.descent import TERMINATED_DIVERGED, Trajectory
 
 from oracles import reference_reports
@@ -31,6 +30,11 @@ def near_run(problem, policy, **kwargs):
     kwargs.setdefault("rel_tol", 1e-8)
     kwargs.setdefault("audit", True)
     return run(problem, policy, **kwargs)
+
+
+def rows_of(problem, traj):
+    """The trajectory's check reports keyed by (k, check name)."""
+    return {(rep.k, rep.name): rep for rep in trajectory_reports(problem, traj)}
 
 
 def iterates(problem, policy, count, delta_seed=0):
@@ -130,8 +134,9 @@ class TestDescentBound:
     def test_holds_along_near_runs(self, policy):
         problem = make_instance(n=25, r=3, seed=300)
         traj = near_run(problem, policy)
+        rows = rows_of(problem, traj)
         for k in range(len(traj.records) - 1):
-            report = check_descent_bound(problem, traj, k)
+            report = rows[k, CHECK_DESCENT_QUADRATIC]
             assert report.applicable and report.holds
 
     def test_huge_step_still_bounded(self, monkeypatch):
@@ -143,9 +148,10 @@ class TestDescentBound:
             patch.setattr(stepsize, "eta_estimated", lambda ctx: 100.0 * exact_rule(ctx))
             traj = run(problem, StepPolicy.adaptive_exact(), max_iters=3, rel_tol=1e-15,
                        audit=True)
+        rows = rows_of(problem, traj)
         grew = False
         for k in range(len(traj.records) - 1):
-            report = check_descent_bound(problem, traj, k)
+            report = rows[k, CHECK_DESCENT_QUADRATIC]
             if report.applicable:
                 assert report.holds
             if traj.records[k + 1].dist_sq > traj.records[k].dist_sq:
@@ -156,7 +162,7 @@ class TestDescentBound:
         problem = make_instance(seed=302)
         traj = run(problem, StepPolicy.fixed(), max_iters=10, rel_tol=1e-12)
         with pytest.raises(ValueError):
-            check_descent_bound(problem, traj, 0)
+            trajectory_reports(problem, traj)
 
 
 class TestContraction:
@@ -164,7 +170,7 @@ class TestContraction:
         # m = 2, eta = 1/64, sigma_r = 1 -> 1 - 6/640
         problem = make_instance(seed=400)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=5, rel_tol=1e-15)
-        report = check_contraction(problem, traj, 0, "fixed")
+        report = rows_of(problem, traj)[0, CHECK_CONTRACTION_FIXED]
         d0 = traj.records[0].dist_sq
         eta0 = traj.records[0].eta
         expected = (1.0 - 0.3 * 2.0 * eta0 * problem.sigma_r_xstar) * d0
@@ -177,8 +183,9 @@ class TestContraction:
     def test_fixed_contraction_on_near_runs(self, seed):
         problem = make_instance(n=25, r=3, seed=500 + seed)
         traj = near_run(problem, StepPolicy.fixed())
+        rows = rows_of(problem, traj)
         for k in range(len(traj.records) - 1):
-            report = check_contraction(problem, traj, k, "fixed")
+            report = rows[k, CHECK_CONTRACTION_FIXED]
             assert report.applicable and report.holds
 
     @pytest.mark.parametrize("seed", range(10))
@@ -186,16 +193,32 @@ class TestContraction:
         problem = make_instance(n=25, r=3, seed=600 + seed)
         traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=0.5),
                         delta_seed=seed)
+        rows = rows_of(problem, traj)
         for k in range(len(traj.records) - 1):
-            report = check_contraction(problem, traj, k, "adaptive")
+            report = rows[k, CHECK_CONTRACTION_ADAPTIVE]
             assert report.applicable and report.holds
 
-    @pytest.mark.parametrize("variant", ["adaptive", "exact_local", "exact_optimal"])
-    def test_exact_step_satisfies_all_adaptive_factors(self, variant):
+    def test_adaptive_check_not_vacuous_beyond_half_distance_noise(self, monkeypatch):
+        # |delta| <= D2 / 2 keeps every estimated step within eta* / 2 of the
+        # optimal one; with StepPolicy's bound lifted, rho = 0.95 pushes some
+        # steps out, and the adaptive factor no longer holds for all of them
+        monkeypatch.setattr(StepPolicy, "__post_init__", lambda self: None)
+        problem = make_instance(n=25, r=3, seed=600)
+        for rho, all_hold in ((0.5, True), (0.95, False)):
+            traj = near_run(problem, StepPolicy.adaptive_exact(delta_rho=rho))
+            rows = [rep for rep in trajectory_reports(problem, traj)
+                    if rep.name == CHECK_CONTRACTION_ADAPTIVE]
+            assert rows and all(rep.applicable and rep.holds for rep in rows) == all_hold
+
+    @pytest.mark.parametrize("name", [CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
+                                      CHECK_CONTRACTION_EXACT_OPTIMAL],
+                             ids=["adaptive", "exact_local", "exact_optimal"])
+    def test_exact_step_satisfies_all_adaptive_factors(self, name):
         problem = make_instance(n=25, r=3, seed=700)
         traj = near_run(problem, StepPolicy.adaptive_exact())
+        rows = rows_of(problem, traj)
         for k in range(len(traj.records) - 1):
-            report = check_contraction(problem, traj, k, variant)
+            report = rows[k, name]
             assert report.applicable and report.holds
 
     def test_fixed_factor_dominates_exact_local_factor(self):
@@ -203,25 +226,20 @@ class TestContraction:
         # larger than the fixed-step factor on the same data
         problem = make_instance(n=25, r=3, seed=701)
         traj = near_run(problem, StepPolicy.adaptive_exact())
+        rows = rows_of(problem, traj)
         for k in range(len(traj.records) - 1):
-            fixed = check_contraction(problem, traj, k, "fixed")
-            local = check_contraction(problem, traj, k, "exact_local")
+            fixed = rows[k, CHECK_CONTRACTION_FIXED]
+            local = rows[k, CHECK_CONTRACTION_EXACT_LOCAL]
             assert local.rhs <= fixed.rhs + 1e-12
-
-    def test_unknown_variant(self):
-        problem = make_instance(seed=702)
-        traj = near_run(problem, StepPolicy.fixed(), max_iters=3, rel_tol=1e-15)
-        with pytest.raises(ValueError):
-            check_contraction(problem, traj, 0, "nesterov")
 
     def test_fixed_check_not_applicable_to_scaled_steps(self):
         problem = make_instance(n=25, r=2, seed=703)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=3, rel_tol=1e-15)
-        assert check_contraction(problem, traj, 0, "fixed").applicable
+        assert rows_of(problem, traj)[0, CHECK_CONTRACTION_FIXED].applicable
         records = list(traj.records)
         records[0] = dataclasses.replace(records[0], eta=7.0 * records[0].eta)
         scaled = dataclasses.replace(traj, records=records)
-        assert not check_contraction(problem, scaled, 0, "fixed").applicable
+        assert not rows_of(problem, scaled)[0, CHECK_CONTRACTION_FIXED].applicable
 
 
 class TestOptimalStep:
@@ -287,15 +305,15 @@ class TestTrajectoryReports:
 
 
 class TestSinglePass:
-    """The checks read the run's own evaluation of each iterate: the public
-    checks are selections from the rows trajectory_reports builds off the
-    audit, nothing is evaluated again, and the merged checks can fail."""
+    """The checks read the run's own evaluation of each iterate: the point
+    and optimal-step checks agree with the rows trajectory_reports builds off
+    the audit, nothing is evaluated again, and the merged checks can fail."""
 
-    def test_selectors_match_trajectory_reports(self):
+    def test_point_and_optimal_step_checks_match_trajectory_reports(self):
         problem = make_instance(n=25, r=3, seed=1000)
         policy = StepPolicy.adaptive_exact(delta_rho=0.5)
         traj = near_run(problem, policy, delta_seed=4)
-        rows = {(rep.k, rep.name): rep for rep in trajectory_reports(problem, traj)}
+        rows = rows_of(problem, traj)
         last = len(traj.records) - 1
         # the point checks evaluate U_k afresh; the rows read the run's audit
         for k, u in enumerate(iterates(problem, policy, len(traj.records), delta_seed=4)):
@@ -303,9 +321,6 @@ class TestSinglePass:
             assert check_regularity(problem, u, k=k) == rows[k, CHECK_REGULARITY]
             if k == last:
                 continue
-            assert check_descent_bound(problem, traj, k) == rows[k, CHECK_DESCENT_QUADRATIC]
-            for variant, name in CONTRACTION_VARIANTS.items():
-                assert check_contraction(problem, traj, k, variant) == rows[k, name]
             ctx = step_context_at(problem, traj, k)
             assert check_optimal_step(ctx) == rows[k, CHECK_OPTIMAL_STEP].holds
             assert rows[k, CHECK_OPTIMAL_STEP].applicable == (
@@ -328,8 +343,6 @@ class TestSinglePass:
         monkeypatch.setattr(stepsize, "eta_local", spy("eta_local", stepsize.eta_local))
         reports = trajectory_reports(problem, traj)
         for k in range(len(traj.records) - 1):
-            check_contraction(problem, traj, k, "adaptive")
-            check_descent_bound(problem, traj, k)
             step_context_at(problem, traj, k)
         assert reports and calls == []
         # the spies do see the evaluation of a point check
@@ -354,15 +367,11 @@ class TestSinglePass:
         records[k + 1] = dataclasses.replace(records[k + 1],
                                              dist_sq=2.0 * records[k].dist_sq)
         corrupted = dataclasses.replace(traj, records=records)
-        rows = {rep.name: rep for rep in trajectory_reports(problem, corrupted)
-                if rep.k == k}
+        rows, original = rows_of(problem, corrupted), rows_of(problem, traj)
         for name in (CHECK_CONTRACTION_FIXED, CHECK_DESCENT_QUADRATIC):
-            assert rows[name].applicable and not rows[name].holds
-        assert not check_contraction(problem, corrupted, k, "fixed").holds
-        assert not check_descent_bound(problem, corrupted, k).holds
-        # the original trajectory passes the same checks
-        assert check_contraction(problem, traj, k, "fixed").holds
-        assert check_descent_bound(problem, traj, k).holds
+            assert rows[k, name].applicable and not rows[k, name].holds
+            # the original trajectory passes the same checks
+            assert original[k, name].holds
 
     def test_wrong_optimal_step_fails_the_audit(self, monkeypatch):
         from factordescent import stepsize

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factordescent import (ExperimentConfig, FactorDescentError, InvalidMatrixError,
                            Objective, ShapeMismatchError, StepPolicy, eta_fixed, eta_local,
@@ -245,6 +247,18 @@ class TestDenseAgreement:
         v = rng.uniform(-1.0, 1.0, (20, 3))
         u = rng.uniform(-1.0, 1.0, (20, 3))
         u[:, 2] = 0.0
+        assert_matches_dense(matrix_factorization(target_factor=v), v @ v.T, u)
+
+    @given(r=st.integers(2, 5), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_deficient_factor(self, r, data):
+        # U = W C^T has rank below r; factors are tall, and n < 2r makes
+        # [U, V] wide
+        n = data.draw(st.integers(r, 12), label="n")
+        rank = data.draw(st.integers(1, r - 1), label="rank")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        v = rng.uniform(-1.0, 1.0, (n, r))
+        u = rng.uniform(-1.0, 1.0, (n, rank)) @ rng.uniform(-1.0, 1.0, (r, rank)).T
         assert_matches_dense(matrix_factorization(target_factor=v), v @ v.T, u)
 
     def test_zero_target(self):

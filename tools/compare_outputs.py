@@ -1,0 +1,93 @@
+"""Check that the working tree writes the same bytes as a git revision.
+
+    python3 tools/compare_outputs.py REV
+
+Extracts REV with ``git archive`` into a temporary directory, then runs, on
+that tree and on this working tree, with one OpenBLAS thread:
+
+    factordescent verify --seed 1..50 --out verify
+    factordescent reproduce-figures --seed 1 --out figures
+
+Each tree's commands run in a directory of their own, so the relative output
+paths printed on stdout match. Prints the number of files compared and exits
+0 when every output file, the stdout and the exit code of each command agree;
+otherwise lists each difference and exits 1.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+COMMANDS = {
+    "verify": ["verify", "--seed", "1..50", "--out", "verify"],
+    "reproduce-figures": ["reproduce-figures", "--seed", "1", "--out", "figures"],
+}
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_commands(tree: Path, out: Path) -> dict[str, tuple[int, bytes]]:
+    """(exit code, stdout) of each command, run from out on tree's sources."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    results = {}
+    for name, args in COMMANDS.items():
+        done = subprocess.run([sys.executable, "-m", "factordescent.cli", *args], cwd=out,
+                              env=env, capture_output=True)
+        results[name] = done.returncode, done.stdout
+    return results
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/compare_outputs.py REV", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        extract(argv[0], tmp / "base")
+        base_results = run_commands(tmp / "base", tmp / "out-base")
+        head_results = run_commands(REPO, tmp / "out-head")
+        base_files, head_files = files_under(tmp / "out-base"), files_under(tmp / "out-head")
+
+    differences = []
+    for name in COMMANDS:
+        (base_code, base_out), (head_code, head_out) = base_results[name], head_results[name]
+        if base_code != head_code:
+            differences.append(f"{name}: exit code {base_code} -> {head_code}")
+        if base_out != head_out:
+            differences.append(f"{name}: stdout differs")
+    for path in sorted(base_files.keys() | head_files.keys()):
+        if path not in head_files:
+            differences.append(f"{path}: only in {argv[0]}")
+        elif path not in base_files:
+            differences.append(f"{path}: only in the working tree")
+        elif base_files[path] != head_files[path]:
+            differences.append(f"{path}: differs")
+
+    for line in differences:
+        print(line)
+    verify_tail = head_results["verify"][1].decode().strip().splitlines()[-1:]
+    print(f"{len(head_files)} files compared, {len(differences)} difference(s); "
+          f"verify: {' '.join(verify_tail)}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
