@@ -21,7 +21,7 @@ from .geometry import (as_factor, as_matrix, dist, procrustes_align,
 from .objectives import Objective, matrix_factorization, mf_grad, mf_value
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
                        StepContext, StepPolicy, eta_estimated, eta_fixed,
-                       eta_local, eta_optimal, eta_practical, grad_floor)
+                       eta_local, eta_optimal, eta_practical)
 from .descent import (InitCheck, IterateRecord, Problem, RunState, Trajectory,
                       TERMINATED_DIVERGED, TERMINATED_MAX_ITERS,
                       TERMINATED_STATIONARY, TERMINATED_TOLERANCE,
@@ -48,7 +48,7 @@ __all__ = [
     "Objective", "matrix_factorization", "mf_value", "mf_grad",
     "FIXED_FGD", "ADAPTIVE_EXACT", "ADAPTIVE_PRACTICAL",
     "StepPolicy", "StepContext", "eta_fixed", "eta_local", "eta_optimal",
-    "eta_estimated", "eta_practical", "grad_floor",
+    "eta_estimated", "eta_practical",
     "Problem", "make_problem", "IterateRecord", "Trajectory", "InitCheck",
     "RunState", "prepare", "step", "run", "start_radius",
     "check_init_condition", "init_near", "init_far",

@@ -27,26 +27,25 @@ factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
 One function evaluates all eight as arrays over a run's audit: per iterate
-the step context, the correlation <grad f(X) U, U - U* R> and the radius
-test, which an audited run (``run(..., audit=True)``) keeps from the very
-evaluation its step rule used, so the trajectory checks evaluate nothing;
-per transition the step taken and the next squared distance, read off the
-records. ``trajectory_reports`` returns that table, and the check of
+the nine floats of ``descent._check_data``, which an audited run
+(``run(..., audit=True)``) keeps from the very evaluation its step rule
+used, so the trajectory checks evaluate nothing; per transition the step
+taken and the next squared distance, read off the records. eta* is one
+column. ``trajectory_reports`` returns that table, and the check of
 transition k is its row (k, CHECK_*). The point checks evaluate one factor
 and read its two rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import stepsize
-from .descent import Problem, Trajectory, _check_data, _evaluate, prepare
+from .descent import Problem, Trajectory, _check_data, _evaluate
 from .geometry import as_factor
-from .stepsize import StepContext, StepPolicy
+from .stepsize import StepContext
 
 TOL_ABS = 1e-9
 TOL_REL = 1e-9
@@ -99,21 +98,13 @@ def dist_sq_upper_bound(eta: float, *, dist_sq: float, grad_norm_sq: float,
             - 2.0 * eta * _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq))
 
 
-@lru_cache(maxsize=256)
-def _unit_draws(seed) -> np.ndarray:
-    draws = np.random.default_rng(seed).random(RANDOM_DRAWS)
-    draws.flags.writeable = False  # shared by every caller
-    return draws
-
-
 def _step_sample(eta_opt, seed) -> np.ndarray:
     """linspace(0, 2 eta*, GRID_POINTS) and then uniform(0, 2 eta*,
-    RANDOM_DRAWS) from a fresh generator on seed, bit for bit, with the unit
-    draws made once per seed: one row per entry of an array of eta*."""
-    top = 2.0 * np.asarray(eta_opt, dtype=float)[..., None]
-    grid = np.arange(GRID_POINTS) * (top / (GRID_POINTS - 1))
-    grid[..., -1] = top[..., 0]  # linspace's exact endpoint
-    return np.concatenate([grid, top * _unit_draws(seed)], axis=-1)
+    RANDOM_DRAWS) from a fresh generator on seed, bit for bit: one row per
+    entry of an array of eta*."""
+    top = 2.0 * np.asarray(eta_opt, dtype=float)
+    draws = top[..., None] * np.random.default_rng(seed).random(RANDOM_DRAWS)
+    return np.concatenate([np.linspace(0.0, top, GRID_POINTS, axis=-1), draws], axis=-1)
 
 
 def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityReport]:
@@ -124,9 +115,7 @@ def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityR
     the module docstring; the optimal-step audit needs no radius, only a
     gradient above its floor."""
     n_rows, n_steps = len(audit), len(etas)
-    columns = np.array([(c.eta_fixed, c.eta_local, c.m, c.sigma_r, c.dist_sq, c.grad_norm_sq,
-                         c.grad_floor, correlation, inside) for c, correlation, inside in audit],
-                       dtype=float).reshape(n_rows, 9)
+    columns = np.array(audit, dtype=float).reshape(n_rows, 9)
     eta0, local, m, sigma_r, dist_sq, grad_sq, _, correlation, inside = columns.T
     lhs, rhs = np.zeros((2, n_rows, len(_CHECKS)))
     applicable = np.repeat(inside[:, None] > 0.0, len(_CHECKS), axis=1)
@@ -136,8 +125,11 @@ def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityR
     # the transition rows, as columns of shape (n_steps, 1)
     eta0, local, m, sigma_r, dist_sq, grad_sq, floor = columns[:n_steps, :7].T[..., None]
     eta = np.array(etas, dtype=float)[:, None]
-    eta_opt = np.array([stepsize.eta_optimal(data[0]) for data in audit[:n_steps]],
-                       dtype=float)[:, None]
+    # eta_optimal's eta*: 0.8 eta_local at or below the floor, where the quotient is dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta_opt = np.where(grad_sq > floor,
+                           stepsize._distance_step(0.8 * local, m, sigma_r, dist_sq, grad_sq),
+                           0.8 * local)
     step_is_optimal = np.abs(eta - eta_opt) <= 1e-9 * eta_opt
     step_near_optimal = np.abs(eta - eta_opt) <= 0.5 * eta_opt * (1.0 + 1e-9)
     step_is_fixed = np.abs(eta - eta0) <= 1e-12 * eta0
@@ -173,8 +165,7 @@ def _require_audit(traj: Trajectory) -> None:
 
 
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
-    eta0 = prepare(problem, StepPolicy.fixed()).eta0
-    data = _check_data(problem, _evaluate(problem, as_factor(u)), eta0)
+    data = _check_data(problem, _evaluate(problem, as_factor(u)))
     return _reports([data], [], [], k0=k)[_CHECKS.index(name)]
 
 
@@ -196,8 +187,11 @@ def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
 
 def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     """The optimal step really minimizes the quadratic bound: no sampled step
-    in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL."""
-    return _reports([(ctx, 0.0, False)], [0.0], [ctx.dist_sq], seed=seed)[-1].holds
+    in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL. Raises
+    ZeroGradientError at a zero gradient with no floor."""
+    stepsize.eta_optimal(ctx)  # for its ZeroGradientError
+    row = (*astuple(ctx)[:6], ctx.grad_floor, 0.0, 0.0)  # the row step_context_at reads
+    return _reports([row], [0.0], [ctx.dist_sq], seed=seed)[-1].holds
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
@@ -205,7 +199,8 @@ def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
     error), as the audited run kept it, e.g. to audit the optimal-step
     property."""
     _require_audit(traj)
-    return traj.audit[k][0]
+    row = traj.audit[k]
+    return StepContext(*row[:6], grad_floor=row[6])
 
 
 def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:

@@ -115,13 +115,13 @@ class IterateRecord:
 
 @dataclass
 class Trajectory:
-    """All records of a run plus the termination reason; audit holds the
-    check data of every recorded iterate (see ``step``) when the run was
-    audited."""
+    """All records of a run plus the termination reason; when the run was
+    audited, audit holds the check data of every recorded iterate, one row
+    of nine floats each (see ``_check_data``)."""
 
     records: list[IterateRecord]
     terminated: str
-    audit: list[tuple[StepContext, float, bool]] | None = None
+    audit: list[tuple[float, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -233,9 +233,16 @@ def init_near(u_star, seed, safety: float = 0.5, kappa: float = 1.0) -> np.ndarr
     def gap(t):
         return dist(u_star + t * direction, u_star) - target
 
-    # gap(0) = -target < 0; dist >= t - 2 ||U*||_F makes the upper end positive
+    # gap(0) = dist(U*, U*) - target < 0 unless the target is below the rounding
+    # of dist(U*, U*); dist >= t - 2 ||U*||_F makes the upper end positive
     hi = target + 2.0 * float(np.linalg.norm(u_star)) + 1.0
-    scale = _brentq(gap, 0.0, hi, xtol=1e-30, maxiter=200)
+    try:
+        scale = _brentq(gap, 0.0, hi, xtol=1e-30, maxiter=200)
+    except ValueError:
+        if not gap(0.0) > 0.0:
+            raise
+        raise ValueError(f"near-start safety factor {safety:g} puts the target {target:.3g} "
+                         f"below the rounding floor {dist(u_star, u_star):.3g} of dist(U*, U*)")
     return u_star + scale * direction
 
 
@@ -305,19 +312,17 @@ def _eta_local(problem: Problem, point: _Evaluation) -> float:
     return stepsize.eta_local(problem.objective.M, point.f.x_norm, point.f.projected_grad_norm)
 
 
-def _check_data(problem: Problem, point: _Evaluation, eta0: float, eta_local=None):
-    """(step context, <grad f(X) U, U - U* R>, inside the start radius) at an
-    evaluated iterate: everything the checks in ``bounds`` read. The context
-    has the true distance, no estimation error, sigma_r of X* and the
-    anchored fixed step eta0; eta_local is computed unless given."""
+def _check_data(problem: Problem, point: _Evaluation, eta_local=None) -> tuple[float, ...]:
+    """The nine floats the checks in ``bounds`` read at an evaluated iterate:
+    the anchored fixed step, eta_local (computed unless given), m, sigma_r of
+    X*, the squared distance, ||grad f(X) U||_F^2, the gradient floor,
+    <grad f(X) U, U - U* R>, and 1.0 inside the start radius, else 0.0."""
     radius = problem._start_radius  # raises without a ground truth
     if eta_local is None:
         eta_local = _eta_local(problem, point)
-    ctx = StepContext(eta_fixed=eta0, eta_local=eta_local, m=problem.objective.m,
-                      sigma_r=problem.sigma_r_xstar, dist_sq=point.dist_sq,
-                      grad_norm_sq=point.f.grad_norm_sq,
-                      grad_floor=stepsize._GRAD_FLOOR * point.scale)
-    return ctx, float(np.sum(point.f.direction * point.error)), point.dist <= radius
+    return (problem._anchor[0], eta_local, problem.objective.m, problem.sigma_r_xstar,
+            point.dist_sq, point.f.grad_norm_sq, stepsize._GRAD_FLOOR * point.scale,
+            float(np.sum(point.f.direction * point.error)), float(point.dist <= radius))
 
 
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:
@@ -380,7 +385,7 @@ def step(u, policy: StepPolicy, problem: Problem, *,
     if not np.isfinite(u_next).all():
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
     if audit is not None:
-        audit.append(_check_data(problem, point, state.eta0, local))
+        audit.append(_check_data(problem, point, local))
     return u_next, record
 
 

@@ -120,7 +120,7 @@ def eta_local(M: float, x_norm: float, projected_grad_norm: float) -> float:
     return _inverse_bound(M, x_norm, projected_grad_norm)
 
 
-# grad_floor(U) = _GRAD_FLOOR * max(1, ||U||_F)^4
+# ||grad f(X) U||_F^2 at or below _GRAD_FLOOR * max(1, ||U||_F)^4 is numerically 0
 _GRAD_FLOOR = 1e-14
 
 
@@ -137,23 +137,21 @@ def _gradient_scale(u: np.ndarray) -> float:
     return scale
 
 
-def grad_floor(u) -> float:
-    """Threshold on ||grad f(X) U||_F^2 below which the distance-driven term
-    of an adaptive step is numerically meaningless."""
-    return _GRAD_FLOOR * _gradient_scale(np.asarray(u, dtype=float))
+def _distance_step(base, m, sigma_r, dist_sq, grad_norm_sq):
+    """base + 3 m sigma_r dist_sq / (20 grad_norm_sq), on floats or arrays: the
+    one formula of every adaptive step above its gradient floor."""
+    return base + 3.0 * m * sigma_r * dist_sq / (20.0 * grad_norm_sq)
 
 
 def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:
-    """base + 3 m sigma_r dist_sq / (20 grad_norm_sq), or base alone when the
-    gradient is at or below its floor: the one formula of every adaptive
-    step. dist_sq is the true or the estimated squared distance."""
+    """_distance_step, or base alone when the gradient is at or below its
+    floor. dist_sq is the true or the estimated squared distance."""
     if dist_sq < 0.0:
         raise NegativeEstimateError(
             f"estimated squared distance is negative: {dist_sq}")
     if ctx.grad_norm_sq > max(ctx.grad_floor, 0.0):
-        return base + 3.0 * ctx.m * ctx.sigma_r * dist_sq / (20.0 * ctx.grad_norm_sq)
-    # Below the floor the division in the distance term is meaningless; with
-    # no floor configured a vanishing gradient is an error.
+        return _distance_step(base, ctx.m, ctx.sigma_r, dist_sq, ctx.grad_norm_sq)
+    # below the floor the quotient is meaningless; with no floor, 0 is an error
     if ctx.grad_floor > 0.0:
         return base
     raise ZeroGradientError("adaptive step undefined at zero gradient")

@@ -11,7 +11,7 @@ time in plain Python floats.
 
 import numpy as np
 
-from factordescent import stepsize
+from factordescent import StepContext, stepsize
 from factordescent.bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                                   CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                                   CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
@@ -129,9 +129,11 @@ def _optimal_step_report(k, ctx, eta_opt, seed=0):
 
 
 def _reports(k, data, transition=None):
-    """Every check at iterate k. The point checks always; the transition
-    checks when transition = (step taken, next squared distance) is given."""
-    ctx, correlation, inside = data
+    """Every check at iterate k from its audit row of nine floats, with eta*
+    from the scalar rule. The point checks always; the transition checks
+    when transition = (step taken, next squared distance) is given."""
+    ctx = StepContext(*data[:6], grad_floor=data[6])
+    correlation, inside = data[7:]
     m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
     reports = [
         make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,

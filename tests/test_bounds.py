@@ -7,10 +7,11 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_L
                            CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                            CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
                            CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InvalidMatrixError, StepContext,
-                           StepPolicy, check_local_step_floor, check_optimal_step,
-                           check_regularity, dist_sq_upper_bound, eta_estimated,
-                           init_far, init_near, make_problem, matrix_factorization, prepare,
-                           run, step, step_context_at, trajectory_reports)
+                           StepPolicy, ZeroGradientError, check_local_step_floor,
+                           check_optimal_step, check_regularity, dist_sq_upper_bound,
+                           eta_estimated, init_far, init_near, make_problem,
+                           matrix_factorization, prepare, run, step, step_context_at,
+                           trajectory_reports)
 from factordescent import bounds, descent, stepsize
 from factordescent.descent import TERMINATED_DIVERGED, Trajectory
 
@@ -258,10 +259,19 @@ class TestOptimalStep:
                           dist_sq=0.0, grad_norm_sq=3.0)
         assert check_optimal_step(ctx)
 
+    def test_zero_gradient_without_floor_raises(self):
+        # as eta_optimal does: with no floor, eta* is undefined at a zero gradient
+        ctx = StepContext(eta_fixed=0.0, eta_local=0.02, m=2.0, sigma_r=1.0,
+                          dist_sq=0.5, grad_norm_sq=0.0)
+        with pytest.raises(ZeroGradientError):
+            check_optimal_step(ctx)
+        # with a floor, eta* is 0.8 eta_local there and nothing is raised
+        check_optimal_step(dataclasses.replace(ctx, grad_floor=1e-14))
+
     def test_sample_is_linspace_and_uniform_bit_for_bit(self):
-        # the grid and the draws are built from a unit sample made once per
-        # seed; scaled by 2 eta* they are the bits of linspace(0, 2 eta*, 41)
-        # and uniform(0, 2 eta*, 20), one row per eta* of a batched call
+        # the batched grid and the scaled unit draws are the bits of
+        # linspace(0, 2 eta*, 41) and uniform(0, 2 eta*, 20), one row per
+        # eta* of a batched call
         assert (bounds.GRID_POINTS, bounds.RANDOM_DRAWS) == (41, 20)
         etas = 10.0 ** np.random.default_rng(23).uniform(-12.0, 3.0, 100_000)
         samples = bounds._step_sample(etas, 0)
@@ -337,10 +347,12 @@ class TestSinglePass:
                 return fn(*args, **kwargs)
             return called
 
-        for module in (descent, bounds):  # bounds imports both by name
-            for name in ("_evaluate", "prepare"):
-                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-        monkeypatch.setattr(stepsize, "eta_local", spy("eta_local", stepsize.eta_local))
+        monkeypatch.setattr(descent, "prepare", spy("prepare", descent.prepare))
+        for module in (descent, bounds):  # bounds imports it by name
+            monkeypatch.setattr(module, "_evaluate", spy("_evaluate", module._evaluate))
+        # no step rule either: eta* is one column, not a call per transition
+        for name in ("eta_local", "eta_optimal"):
+            monkeypatch.setattr(stepsize, name, spy(name, getattr(stepsize, name)))
         reports = trajectory_reports(problem, traj)
         for k in range(len(traj.records) - 1):
             step_context_at(problem, traj, k)
@@ -374,12 +386,11 @@ class TestSinglePass:
             assert original[k, name].holds
 
     def test_wrong_optimal_step_fails_the_audit(self, monkeypatch):
-        from factordescent import stepsize
         problem = make_instance(n=25, r=3, seed=1002)
         traj = near_run(problem, StepPolicy.adaptive_exact())
-        true_optimal = stepsize.eta_optimal
-        monkeypatch.setattr(stepsize, "eta_optimal",
-                            lambda ctx: 1.5 * true_optimal(ctx))
+        true_step = stepsize._distance_step
+        monkeypatch.setattr(stepsize, "_distance_step",
+                            lambda *args: 1.5 * true_step(*args))
         audit = [rep for rep in trajectory_reports(problem, traj)
                  if rep.name == CHECK_OPTIMAL_STEP and rep.applicable]
         assert audit and not all(rep.holds for rep in audit)
@@ -415,7 +426,7 @@ class TestScalarReference:
         problem = make_problem(near.objective, init_far(near.u_star, 9), u_star=near.u_star)
         # every iterate of the first ten transitions lies outside the radius
         traj = near_run(problem, StepPolicy.adaptive_practical(), max_iters=10)
-        assert not any(inside for _, _, inside in traj.audit)
+        assert not any(row[8] for row in traj.audit)  # the row's radius flag
         reports = self.assert_rows_equal(problem, traj)
         assert not any(rep.applicable for rep in reports if rep.name != CHECK_OPTIMAL_STEP)
 

@@ -202,6 +202,15 @@ class TestFailureExitCodes:
             summary={"policies": {}, "iteration_ratios": {},
                      "checks": checks, "failed": {}})
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "20", "--r", "2", "--init", "near:1e-14"],
+        ["verify", "--seed", "1", "--n", "10", "--r", "2", "--safety", "1e-14"]])
+    def test_start_below_the_rounding_floor_exits_1(self, argv, tmp_path, capsys):
+        # the target distance falls below the rounding of dist(U*, U*)
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "safety factor 1e-14" in err and "rounding floor" in err
+
     def test_verify_exits_1_when_checks_fail(self, monkeypatch):
         import factordescent.cli as cli_mod
         fake = self._fake_artifact({"fgd": {"total": 7, "applicable": 5,

@@ -107,6 +107,18 @@ class TestInitNear:
         with pytest.raises(ValueError):
             init_near(np.eye(3)[:, :1], 0, safety=1.5)
 
+    def test_target_below_the_rounding_floor_is_named(self):
+        # dist(U*, U*) rounds to about 1e-15, not 0: a target below it leaves
+        # the root bracket without a sign change, and the error says why
+        u_star = np.random.default_rng(4).uniform(-1.0, 1.0, (20, 2))
+        floor = dist(u_star, u_star)
+        assert 1e-14 * start_radius(u_star) < floor < 1e-12 * start_radius(u_star)
+        with pytest.raises(ValueError, match=r"safety factor 1e-14 .* rounding floor "
+                                             rf"{floor:.3g} of dist\(U\*, U\*\)$"):
+            init_near(u_star, 0, safety=1e-14)
+        u0 = init_near(u_star, 0, safety=1e-12)
+        assert dist(u0, u_star) == pytest.approx(1e-12 * start_radius(u_star), rel=0.5)
+
     @pytest.mark.parametrize("kappa", [-1.0, math.inf, math.nan, 0.0])
     def test_kappa_must_be_positive_and_finite(self, kappa):
         u_star = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 2))
@@ -304,7 +316,7 @@ class TestRun:
         problem = make_instance(seed=34)
         traj = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12, audit=True)
         assert len(traj.audit) == len(traj.records)
-        assert traj.audit[0][0].dist_sq == traj.records[0].dist_sq
+        assert traj.audit[0][4] == traj.records[0].dist_sq  # the row's squared distance
         unaudited = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12)
         assert unaudited.audit is None and unaudited.records == traj.records
         # a run that blows up keeps no entry for the iterate it could not leave
@@ -358,7 +370,7 @@ class TestWithinStartRadius:
     def test_iterates_stay_inside_from_near_start(self):
         problem = make_instance(n=30, r=2, seed=38)
         traj = run(problem, StepPolicy.fixed(), max_iters=100, rel_tol=1e-9, audit=True)
-        assert all(inside for _, _, inside in traj.audit)
+        assert all(row[8] for row in traj.audit)  # the row's radius flag
         # the audit's flag is the radius test a point check applies
         radius = check_init_condition(problem).rhs
         far = np.random.default_rng(5).uniform(-1.0, 1.0, problem.u0.shape)

@@ -1,12 +1,25 @@
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factordescent import (ExperimentConfig, check_init_condition, export_csv,
-                           figure_configs, generate_instance, policy_from_name,
-                           run_comparison, write_plot_script)
+from factordescent import (ExperimentConfig, InequalityReport, IterateRecord, RunArtifact,
+                           Trajectory, check_init_condition, export_csv, figure_configs,
+                           generate_instance, policy_from_name, run_comparison,
+                           write_plot_script)
 from factordescent.experiments import CHECKS_HEADER, ITERATE_HEADER
+
+# any float but NaN, with extra weight on subnormals, signed zeros and the
+# largest magnitudes
+FLOATS = (st.floats(allow_nan=False)
+          | st.floats(min_value=-2.3e-308, max_value=2.3e-308)
+          | st.floats(min_value=1e307, allow_infinity=False)
+          | st.floats(max_value=-1e307, allow_infinity=False))
 
 
 def small_config(**overrides):
@@ -168,6 +181,33 @@ class TestExportCsv:
             assert float(cells[4]) == rec.eta
             assert float(cells[5]) == rec.grad_norm_sq
             assert float(cells[6]) == rec.delta
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(FLOATS, FLOATS, st.none() | FLOATS, FLOATS, FLOATS,
+                                      FLOATS), min_size=1, max_size=4),
+           reports=st.lists(st.tuples(FLOATS, FLOATS, FLOATS), max_size=4))
+    def test_written_floats_parse_back_bit_for_bit(self, records, reports):
+        def bits(x):
+            return struct.pack("<d", x)
+
+        traj = Trajectory(records=[IterateRecord(k, *fields) for k, fields in
+                                   enumerate(records)], terminated="max_iters")
+        rows = [InequalityReport(k, "regularity", *fields, holds=True, applicable=True)
+                for k, fields in enumerate(reports)]
+        art = RunArtifact(config=small_config(policies=("fgd",)), problem=None,
+                          trajectories={"fgd": traj}, reports={"fgd": rows})
+        with tempfile.TemporaryDirectory() as out:
+            export_csv(art, out)
+            lines = (Path(out) / "fgd.csv").read_text().splitlines()[1:]
+            checks = (Path(out) / "checks.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(records) and len(checks) == len(reports)
+        for line, fields in zip(lines, records):
+            cells = line.split(",")[1:]
+            assert (cells[2] == "") == (fields[2] is None)
+            assert [bits(float(cell)) for cell in cells if cell] == [
+                bits(x) for x in fields if x is not None]
+        for line, fields in zip(checks, reports):
+            assert [bits(float(cell)) for cell in line.split(",")[2:5]] == list(map(bits, fields))
 
     def test_rows_match_joined_cells(self, tmp_path):
         # each row is the cells joined by commas: str for ints and names,

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from factordescent import (DegenerateProblemError, NegativeEstimateError,
                            StepContext, StepPolicy, ZeroGradientError,
                            ZeroMatrixError, eta_estimated, eta_fixed, eta_local,
-                           eta_optimal, eta_practical, grad_floor,
-                           matrix_factorization)
+                           eta_optimal, eta_practical, matrix_factorization)
+from factordescent.stepsize import _GRAD_FLOOR, _gradient_scale
 
 from oracles import dense_eta_local
 
@@ -182,11 +182,11 @@ class TestMonotonicity:
 
 class TestGradFloor:
     def test_small_factor_uses_unit_scale(self):
-        assert grad_floor(np.zeros((3, 1))) == pytest.approx(1e-14)
+        assert _GRAD_FLOOR * _gradient_scale(np.zeros((3, 1))) == pytest.approx(1e-14)
 
     def test_scales_with_fourth_power(self):
         u = np.full((4, 1), 2.0)  # ||u|| = 4
-        assert grad_floor(u) == pytest.approx(1e-14 * 256.0)
+        assert _GRAD_FLOOR * _gradient_scale(u) == pytest.approx(1e-14 * 256.0)
 
 
 class TestStepPolicy:

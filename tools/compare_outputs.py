@@ -7,6 +7,11 @@ that tree and on this working tree, with one OpenBLAS thread:
 
     factordescent verify --seed 1..50 --out verify
     factordescent reproduce-figures --seed 1 --out figures
+    factordescent run --n 600 --r 5 --seed 1 --init near:0.5 \
+        --policy adaptive-exact --max-iters 500 --rel-tol 1e-10 --checks --out exact
+
+The last is the benchmark's ``exact`` workload with ``--checks``, so ``run``'s
+own audit path is diffed as well as ``verify``'s.
 
 Each tree's commands run in a directory of their own, so the relative output
 paths printed on stdout match. Prints the number of files compared and exits
@@ -28,6 +33,9 @@ REPO = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "verify": ["verify", "--seed", "1..50", "--out", "verify"],
     "reproduce-figures": ["reproduce-figures", "--seed", "1", "--out", "figures"],
+    "exact": ["run", "--n", "600", "--r", "5", "--seed", "1", "--init", "near:0.5",
+              "--policy", "adaptive-exact", "--max-iters", "500", "--rel-tol", "1e-10",
+              "--checks", "--out", "exact"],
 }
 
 
