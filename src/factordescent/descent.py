@@ -42,58 +42,58 @@ _STOP_FLOOR = 1e-28
 class Problem:
     """Objective plus starting factor, with optional ground truth.
 
-    sigma_r_xstar and sigma1_xstar are the smallest-positive and largest
-    singular values of X* = U* U*^T; they are stored so per-iteration code
-    never has to decompose an n x n matrix.
+    Construction validates and copies both factors: U0 must have the
+    objective's n rows and be nonzero (the zero factor is a stationary point
+    of every factored objective, so no step rule moves it), and U* must share
+    U0's shape and have a positive singular value. sigma_r(X*) and the start
+    radius are derived from U*, never stored beside it.
     """
 
     objective: Objective
     u0: np.ndarray
     u_star: np.ndarray | None = None
-    sigma_r_xstar: float | None = None
-    sigma1_xstar: float | None = None
+
+    def __post_init__(self):
+        u0 = as_factor(self.u0).copy()
+        if u0.shape[0] != self.objective.basis.shape[0]:
+            raise ShapeMismatchError(f"u0 has {u0.shape[0]} rows, the target "
+                                     f"{self.objective.basis.shape[0]}")
+        if not np.any(u0):
+            raise ZeroMatrixError("u0 is zero, a stationary point of every factored objective")
+        object.__setattr__(self, "u0", u0)
+        if self.u_star is not None:
+            u_star = as_factor(self.u_star).copy()
+            if u_star.shape != u0.shape:
+                raise ShapeMismatchError(
+                    f"u0 and u_star must share a shape: {u0.shape} vs {u_star.shape}")
+            object.__setattr__(self, "u_star", u_star)
+            self.sigma_r_xstar  # raises ZeroMatrixError when U* has no positive sigma
+
+    @cached_property
+    def sigma_r_xstar(self) -> float | None:
+        """Smallest positive singular value of X* = U* U*^T, the square of
+        U*'s (so no n x n matrix is decomposed); None without a ground truth."""
+        return None if self.u_star is None else sigma_min_positive(self.u_star) ** 2
 
     @cached_property
     def _anchor(self) -> tuple[float, float]:
         """(anchored fixed step, g(U0)), computed on first use and shared by
         every run on this instance: the one evaluation of U0, with the
         spectral norms of X0 and grad f(X0) read off its small QR core."""
-        start = _evaluate(self, as_factor(self.u0)).f
+        start = _evaluate(self, self.u0).f
         return stepsize.eta_fixed(self.objective.M, start.x_norm, start.grad_norm), start.g
 
     @cached_property
     def _start_radius(self) -> float:
-        """The start radius of the contraction analysis, computed on first
-        use; raises without a ground truth."""
+        """start_radius of U*, computed on first use; raises without U*."""
         if self.u_star is None:
             raise MissingGroundTruthError("start radius needs the ground-truth factor")
-        return _radius(self.sigma_r_xstar, self.sigma1_xstar, self.objective.kappa)
+        return start_radius(self.u_star, self.objective.kappa)
 
 
 def make_problem(objective: Objective, u0, u_star=None) -> Problem:
-    """Build a Problem, deriving the spectrum of X* from U* when given.
-
-    The singular values of X* are the squares of those of U*, so only the
-    cheap n x r decomposition is ever taken. U0 must have the objective's n
-    rows and be nonzero: the zero factor is a stationary point of every
-    factored objective, so no step rule moves it.
-    """
-    u0 = as_factor(u0).copy()
-    if u0.shape[0] != objective.basis.shape[0]:
-        raise ShapeMismatchError(f"u0 has {u0.shape[0]} rows, the target "
-                                 f"{objective.basis.shape[0]}")
-    if not np.any(u0):
-        raise ZeroMatrixError("u0 is zero, a stationary point of every factored objective")
-    sigma_r = sigma1 = None
-    if u_star is not None:
-        u_star = as_factor(u_star).copy()
-        if u_star.shape != u0.shape:
-            raise ShapeMismatchError(
-                f"u0 and u_star must share a shape: {u0.shape} vs {u_star.shape}")
-        sigma_r = sigma_min_positive(u_star) ** 2
-        sigma1 = spectral_norm(u_star) ** 2
-    return Problem(objective=objective, u0=u0, u_star=u_star,
-                   sigma_r_xstar=sigma_r, sigma1_xstar=sigma1)
+    """``Problem(objective, u0, u_star)``, under its long-exported name."""
+    return Problem(objective, u0, u_star)
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,14 @@ class InitCheck:
     rhs: float  # start radius
 
 
-def _radius(sigma_r_xstar: float, sigma1_xstar: float, kappa: float) -> float:
-    return float(np.sqrt(sigma_r_xstar) / (100.0 * kappa)
-                 * sigma_r_xstar / sigma1_xstar)
-
-
 def start_radius(u_star, kappa: float = 1.0) -> float:
     """Largest starting distance the contraction analysis tolerates:
     sqrt(sigma_r(X*)) / (100 kappa) * sigma_r(X*) / sigma_1(X*)."""
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError("kappa must be positive and finite")
     u_star = as_factor(u_star)
-    return _radius(sigma_min_positive(u_star) ** 2, spectral_norm(u_star) ** 2, kappa)
+    sigma_r, sigma1 = sigma_min_positive(u_star) ** 2, spectral_norm(u_star) ** 2
+    return float(np.sqrt(sigma_r) / (100.0 * kappa) * sigma_r / sigma1)
 
 
 def check_init_condition(problem: Problem) -> InitCheck:

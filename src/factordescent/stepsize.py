@@ -79,6 +79,7 @@ class StepContext:
     delta is the (possibly negative) estimation error added to dist_sq;
     grad_floor, when positive, is the threshold below which grad_norm_sq is
     considered numerically zero and the distance-driven term is dropped.
+    Every field but delta is nonnegative; NaN and an infinite delta are rejected.
     """
 
     eta_fixed: float
@@ -93,8 +94,10 @@ class StepContext:
     def __post_init__(self):
         for name in ("eta_fixed", "eta_local", "m", "sigma_r", "dist_sq",
                      "grad_norm_sq", "grad_floor"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"{name} must be nonnegative")
+        if not math.isfinite(self.delta):
+            raise ValueError("delta must be finite")
 
 
 def _inverse_bound(M: float, x_norm: float, grad_norm: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 import scipy.optimize
 
 from factordescent import (InvalidMatrixError, MissingGroundTruthError, NumericalBlowupError,
-                           StepPolicy, TERMINATED_DIVERGED, TERMINATED_TOLERANCE, ZeroMatrixError,
+                           Problem, ShapeMismatchError, StepPolicy, TERMINATED_DIVERGED,
+                           TERMINATED_TOLERANCE, ZeroMatrixError,
                            check_init_condition, check_local_step_floor, dist,
                            init_far, init_near, make_problem,
                            matrix_factorization, prepare, run,
@@ -33,7 +35,7 @@ def diverging_run(monkeypatch, **kwargs):
 
 
 class TestProblem:
-    def test_stored_spectrum_matches_gram_matrix(self):
+    def test_derived_spectrum_matches_gram_matrix(self):
         rng = np.random.default_rng(3)
         u_star = rng.uniform(-1.0, 1.0, (15, 3))
         problem = make_problem(matrix_factorization(u_star @ u_star.T),
@@ -53,6 +55,49 @@ class TestProblem:
         with pytest.raises(ZeroMatrixError):
             make_problem(matrix_factorization(np.eye(4)), np.zeros((4, 2)),
                          u_star=np.eye(4)[:, :2])
+
+    def test_three_fields(self):
+        # sigma_r(X*) and the radius are derived from U*, not stored beside it
+        assert [f.name for f in dataclasses.fields(Problem)] == ["objective", "u0", "u_star"]
+
+    def test_replaced_ground_truth_rederives_spectrum_and_radius(self):
+        problem = make_instance()
+        scaled = 3.0 * problem.u_star
+        replaced = dataclasses.replace(problem, u_star=scaled)
+        built = make_problem(problem.objective, problem.u0, u_star=scaled)
+        assert replaced.sigma_r_xstar == built.sigma_r_xstar
+        assert replaced.sigma_r_xstar == pytest.approx(9.0 * problem.sigma_r_xstar)
+        assert replaced._start_radius == built._start_radius
+        assert check_init_condition(replaced).rhs == check_init_condition(built).rhs
+
+    def test_direct_construction_matches_make_problem(self):
+        made = make_instance()
+        direct = Problem(made.objective, made.u0, u_star=made.u_star)
+        assert direct.sigma_r_xstar == made.sigma_r_xstar
+        assert direct._start_radius == made._start_radius
+        assert check_init_condition(direct) == check_init_condition(made)
+        policy = StepPolicy.adaptive_exact(delta_rho=0.5)
+        runs = [run(p, policy, max_iters=100, rel_tol=1e-12, delta_seed=4, audit=True)
+                for p in (made, direct)]
+        assert runs[0].records == runs[1].records
+        assert len(runs[0].audit) == len(runs[0].records)
+        assert np.array(runs[0].audit).tobytes() == np.array(runs[1].audit).tobytes()
+
+    @pytest.mark.parametrize("u0, u_star, error", [
+        (np.ones((5, 2)), None, ShapeMismatchError),  # U0 rows != target rows
+        (np.zeros((4, 2)), None, ZeroMatrixError),
+        (np.ones((4, 2)), np.ones((4, 1)), ShapeMismatchError),
+        (np.ones((4, 2)), np.zeros((4, 2)), ZeroMatrixError),  # no positive sigma
+    ])
+    def test_direct_construction_validates(self, u0, u_star, error):
+        with pytest.raises(error):
+            Problem(matrix_factorization(np.eye(4)), u0, u_star=u_star)
+
+    def test_direct_construction_copies(self):
+        u0, u_star = np.ones((4, 2)), np.eye(4)[:, :2]
+        problem = Problem(matrix_factorization(np.eye(4)), u0, u_star=u_star)
+        u0[0, 0] = u_star[0, 0] = 7.0
+        assert problem.u0[0, 0] == 1.0 and problem.u_star[0, 0] == 1.0
 
 
 class TestInitCondition:

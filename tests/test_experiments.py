@@ -1,6 +1,7 @@
 import json
 import struct
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factordescent import (ExperimentConfig, InequalityReport, IterateRecord, RunArtifact,
+from factordescent import (CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL,
+                           ExperimentConfig, InequalityReport, IterateRecord, RunArtifact,
                            Trajectory, check_init_condition, export_csv, figure_configs,
                            generate_instance, policy_from_name, run_comparison,
                            write_plot_script)
+from factordescent.bounds import _CHECKS
 from factordescent.experiments import CHECKS_HEADER, ITERATE_HEADER
 
 # any float but NaN, with extra weight on subnormals, signed zeros and the
@@ -101,6 +104,21 @@ class TestGenerateInstance:
         assert (problem.objective.m, problem.objective.M) == (2.0, 2.0)
 
 
+def applicable_and_failed(delta_rho):
+    """Applicable and failed rows per check over seeds 1 and 2 of the fixed
+    and exact policies at n = 20, r = 2."""
+    applicable, failed = Counter(), Counter()
+    for seed in (1, 2):
+        art = run_comparison(ExperimentConfig(
+            n=20, r=2, seed=seed, policies=("fgd", "adaptive-exact"),
+            delta_rho=delta_rho, checks_enabled=True, max_iters=200))
+        assert art.failures == {}
+        for rep in (rep for reports in art.reports.values() for rep in reports):
+            applicable[rep.name] += rep.applicable
+            failed[rep.name] += rep.applicable and not rep.holds
+    return applicable, failed
+
+
 class TestRunComparison:
     def test_policies_share_the_start(self):
         art = run_comparison(small_config())
@@ -125,6 +143,18 @@ class TestRunComparison:
             entry = art.summary["checks"][label]
             assert entry["applicable"] > 0
             assert entry["failures"] == 0
+
+    def test_exact_step_exercises_every_check(self):
+        # the exact-step contractions apply only where the step taken is eta*
+        # itself, which needs delta_rho = 0; verify's default 0.5 leaves them
+        # without an applicable row
+        applicable, failed = applicable_and_failed(0.0)
+        assert all(applicable[name] > 0 for name in _CHECKS)
+        assert sum(failed.values()) == 0
+        noisy, _ = applicable_and_failed(0.5)
+        assert noisy[CHECK_CONTRACTION_EXACT_LOCAL] == 0
+        assert noisy[CHECK_CONTRACTION_EXACT_OPTIMAL] == 0
+        assert sum(noisy.values()) > 0
 
     def test_one_anchored_step_per_instance(self, monkeypatch):
         # eta_fixed takes two n x n SVDs; every policy of a comparison, and

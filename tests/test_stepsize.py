@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,3 +210,16 @@ class TestStepPolicy:
     def test_context_rejects_negative_fields(self):
         with pytest.raises(ValueError):
             make_ctx(sigma_r=-1.0)
+
+    @pytest.mark.parametrize("name", ["eta_fixed", "eta_local", "m", "sigma_r", "dist_sq",
+                                      "grad_norm_sq", "grad_floor", "delta"])
+    def test_context_rejects_nan(self, name):
+        # NaN would otherwise leave the rules returning nan, or a NaN gradient
+        # norm raising the zero-gradient error
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_ctx(**{name: math.nan})
+
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf])
+    def test_context_rejects_infinite_delta(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite$"):
+            make_ctx(delta=delta)

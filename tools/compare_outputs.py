@@ -14,9 +14,10 @@ The last is the benchmark's ``exact`` workload with ``--checks``, so ``run``'s
 own audit path is diffed as well as ``verify``'s.
 
 Each tree's commands run in a directory of their own, so the relative output
-paths printed on stdout match. Prints the number of files compared and exits
-0 when every output file, the stdout and the exit code of each command agree;
-otherwise lists each difference and exits 1.
+paths printed on stdout match. Prints the number of files compared and the
+line total of ``src/factordescent/*.py`` in REV and in the working tree, and
+exits 0 when every output file, the stdout and the exit code of each command
+agree; otherwise lists each difference and exits 1.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def files_under(root: Path) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def source_lines(tree: Path) -> int:
+    """Line total of the package's modules, src/factordescent/*.py."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (tree / "src" / "factordescent").glob("*.py"))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/compare_outputs.py REV", file=sys.stderr)
@@ -70,6 +77,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         extract(argv[0], tmp / "base")
+        base_lines, head_lines = source_lines(tmp / "base"), source_lines(REPO)
         base_results = run_commands(tmp / "base", tmp / "out-base")
         head_results = run_commands(REPO, tmp / "out-head")
         base_files, head_files = files_under(tmp / "out-base"), files_under(tmp / "out-head")
@@ -93,7 +101,8 @@ def main(argv: list[str]) -> int:
         print(line)
     verify_tail = head_results["verify"][1].decode().strip().splitlines()[-1:]
     print(f"{len(head_files)} files compared, {len(differences)} difference(s); "
-          f"verify: {' '.join(verify_tail)}")
+          f"verify: {' '.join(verify_tail)}; src/factordescent/*.py lines: "
+          f"{base_lines} in {argv[0]}, {head_lines} in the working tree")
     return 1 if differences else 0
 
 
