@@ -12,7 +12,7 @@ engine with full trajectory recording, executable checks of the linear
 convergence analysis, and a benchmark harness with a CLI.
 """
 
-from .errors import (DegenerateProblemError, FactorDescentError,
+from .errors import (ConfigError, DegenerateProblemError, FactorDescentError,
                      InvalidMatrixError, MissingGroundTruthError, NegativeEstimateError,
                      NumericalBlowupError, ShapeMismatchError,
                      ZeroGradientError, ZeroMatrixError)
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FactorDescentError", "InvalidMatrixError", "ShapeMismatchError", "ZeroMatrixError",
     "DegenerateProblemError", "ZeroGradientError", "NegativeEstimateError",
-    "MissingGroundTruthError", "NumericalBlowupError",
+    "MissingGroundTruthError", "NumericalBlowupError", "ConfigError",
     "as_matrix", "as_factor", "spectral_norm", "sigma_min_positive",
     "procrustes_align", "dist",
     "Objective", "matrix_factorization", "mf_value", "mf_grad",

@@ -5,12 +5,13 @@ Three subcommands:
 * ``run``: execute one comparison experiment, configured by flags and/or a
   flat ``key = value`` config file (flags win).
 * ``verify``: sweep seeds of near-start instances, run the fixed and exact
-  adaptive policies with estimation noise, and evaluate every inequality
-  check; exits nonzero if any applicable check fails.
+  adaptive policies with estimation noise, and evaluate the inequality
+  checks (the two exact-step contractions apply only at ``--delta-rho 0``);
+  exits nonzero if any applicable check fails.
 * ``reproduce-figures``: run the four benchmark configurations (rank 2 and
   5, near and far starts) and emit CSVs, summaries, and gnuplot templates.
 
-Exit codes: 0 success, 1 run or verification failure, 2 bad usage.
+Exit codes: 0 success, 1 run or verification failure, 2 bad usage (ConfigError).
 """
 
 from __future__ import annotations
@@ -19,17 +20,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import FactorDescentError
+from .errors import ConfigError, FactorDescentError
 from .experiments import (ExperimentConfig, INIT_FAR, INIT_NEAR, export_csv,
-                          figure_configs, reproduce_figures, run_comparison,
-                          write_plot_script)
+                          reproduce_figures, run_comparison, write_plot_script)
 from .stepsize import ADAPTIVE_EXACT, FIXED_FGD, POLICY_KINDS
 
 __all__ = ["main", "parse_config_text", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Malformed config file or flag value."""
 
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -100,51 +96,43 @@ def _parse_seed_range(text: str) -> list[int]:
         raise ConfigError(f"bad seed {text!r}") from exc
 
 
-# config key -> (ExperimentConfig field(s), parser). Each key is also the
-# argparse dest of its ``run`` flag; a flag's value goes through the same
-# parser as the file's text and wins over it.
+# config key -> (ExperimentConfig field(s), parser, help). Each key is also a
+# ``run`` flag (``--max-iters`` for max_iters) whose text goes through the same
+# parser as the file's and wins over it.
 _CONFIG_TABLE = {
-    "n": (("n",), int),
-    "r": (("r",), int),
-    "seed": (("seed",), int),
-    "init": (("init_kind", "init_param"), _parse_init),
-    "policy": (("policies",), tuple),
-    "max_iters": (("max_iters",), int),
-    "rel_tol": (("rel_tol",), float),
-    "delta_rho": (("delta_rho",), float),
-    "checks": (("checks_enabled",), _parse_bool),
-    "out": (("output_dir",), str),
+    "n": (("n",), int, "matrix dimension"),
+    "r": (("r",), int, "factor rank"),
+    "seed": (("seed",), int, "instance seed"),
+    "init": (("init_kind", "init_param"), _parse_init, "start: near:SAFETY or far:SCALE"),
+    "policy": (("policies",), tuple, "step policy (repeatable)"),
+    "max_iters": (("max_iters",), int, "iteration budget per policy"),
+    "rel_tol": (("rel_tol",), float, "stop at this relative error"),
+    "delta_rho": (("delta_rho",), float, "estimation-noise amplitude in [0, 1/2]"),
+    "checks": (("checks_enabled",), _parse_bool, "evaluate inequality checks along the runs"),
+    "out": (("output_dir",), str, "output directory"),
 }
 
 
 def _set_field(values: dict, key: str, raw) -> None:
     """Parse one config value and store it under its ExperimentConfig field(s)."""
-    fields, parse = _CONFIG_TABLE[key]
+    fields, parse, _ = _CONFIG_TABLE[key]
     try:
         parsed = parse(raw)
     except ConfigError:  # already worded for the user; a subclass of ValueError
         raise
     except ValueError as exc:
-        raise ConfigError(f"bad numeric value in config: {exc}") from exc
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
     if len(fields) == 1:
         parsed = (parsed,)
     values.update(zip(fields, parsed))
-
-
-def _checked(build, *args, **kwargs):
-    """build(*args, **kwargs), with a ValueError reported as bad usage."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _build_run_config(args) -> ExperimentConfig:
     values: dict = {}
     if args.config:
         try:
-            text = Path(args.config).read_text()
-        except OSError as exc:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         for key, raw in parse_config_text(text).items():
             _set_field(values, key, raw)
@@ -154,7 +142,7 @@ def _build_run_config(args) -> ExperimentConfig:
     values.setdefault("n", 100)
     values.setdefault("r", 2)
     values.setdefault("seed", 0)
-    return _checked(ExperimentConfig, **values)
+    return ExperimentConfig(**values)
 
 
 def _cmd_run(args) -> int:
@@ -184,8 +172,8 @@ def _cmd_verify(args) -> int:
     seeds = _parse_seed_range(args.seed)
     total_applicable = total_failures = total_failed_runs = 0
     for seed in seeds:
-        config = _checked(
-            ExperimentConfig, n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
+        config = ExperimentConfig(
+            n=args.n, r=args.r, seed=seed, init_kind=INIT_NEAR,
             init_param=args.safety, policies=(FIXED_FGD, ADAPTIVE_EXACT),
             max_iters=args.max_iters, rel_tol=args.rel_tol,
             delta_rho=args.delta_rho, checks_enabled=True,
@@ -212,9 +200,8 @@ def _failed_runs(count: int) -> str:
 
 
 def _cmd_reproduce_figures(args) -> int:
-    options = dict(seed=args.seed, n=args.n, max_iters=args.max_iters, rel_tol=args.rel_tol)
-    _checked(figure_configs, args.out, **options)  # bad values exit 2, before any run
-    results = reproduce_figures(args.out, **options)
+    results = reproduce_figures(args.out, seed=args.seed, n=args.n,
+                                max_iters=args.max_iters, rel_tol=args.rel_tol)
     status = 0
     for label, summary in results.items():
         parts = []
@@ -240,19 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one comparison experiment")
     p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--n", type=int, help="matrix dimension")
-    p_run.add_argument("--r", type=int, help="factor rank")
-    p_run.add_argument("--seed", type=int, help="instance seed")
-    p_run.add_argument("--init", help="start: near:SAFETY or far:SCALE")
-    p_run.add_argument("--policy", action="append", choices=POLICY_KINDS,
-                       help="step policy (repeatable)")
-    p_run.add_argument("--max-iters", type=int, dest="max_iters")
-    p_run.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p_run.add_argument("--delta-rho", type=float, dest="delta_rho",
-                       help="estimation-noise amplitude in [0, 1/2]")
-    p_run.add_argument("--checks", action="store_const", const="true",
-                       help="evaluate inequality checks along the runs")
-    p_run.add_argument("--out", help="output directory")
+    options = {"policy": dict(action="append", metavar="{" + ",".join(POLICY_KINDS) + "}"),
+               "checks": dict(action="store_const", const="true")}  # takes no value
+    for key, (_, _, text) in _CONFIG_TABLE.items():
+        p_run.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+                           **options.get(key, {}))
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser(
@@ -291,13 +270,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ConfigError as exc:  # a FactorDescentError, so caught first
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FactorDescentError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # e.g. the n x r arrays of a huge --n
+    except MemoryError as exc:  # an n x r that fits in an array but not in memory
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,7 @@ TERMINATED_DIVERGED = "diverged"
 _STOP_FLOOR = 1e-28
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity
 class Problem:
     """Objective plus starting factor, with optional ground truth.
 

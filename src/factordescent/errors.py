@@ -5,6 +5,11 @@ class FactorDescentError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ConfigError(FactorDescentError, ValueError):
+    """Malformed config file, flag value or experiment configuration: bad
+    usage, found before any run."""
+
+
 class InvalidMatrixError(FactorDescentError, ValueError):
     """A matrix argument is malformed: not 2-d, empty, not finite, not tall
     where a factor is needed, or not symmetric where a target is."""

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import InequalityReport, trajectory_reports
 from .descent import Problem, Trajectory, init_far, init_near, make_problem, run
-from .errors import FactorDescentError
+from .errors import ConfigError, FactorDescentError
 from .objectives import matrix_factorization
 from .stepsize import ADAPTIVE_PRACTICAL, FIXED_FGD, POLICY_KINDS, StepPolicy
 
@@ -48,7 +48,7 @@ class ExperimentConfig:
     near start and the entry scale for a far one; a far scale s must keep
     the width 2 s of its uniform law finite. delta_rho is forwarded to the
     adaptive policies as the synthetic estimation-noise amplitude, so it
-    needs at least one of them.
+    needs at least one of them. Every rejection raises ConfigError.
     """
 
     n: int
@@ -65,32 +65,35 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.n >= self.r >= 1:
-            raise ValueError(f"need n >= r >= 1, got n={self.n}, r={self.r}")
+            raise ConfigError(f"need n >= r >= 1, got n={self.n}, r={self.r}")
+        if 16 * self.n * self.r > np.iinfo(np.intp).max:
+            raise ConfigError(f"n={self.n}, r={self.r} is too large: the n x 2r stack "
+                              "[U, U*] would exceed the largest possible array")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.init_kind not in (INIT_NEAR, INIT_FAR):
-            raise ValueError(f"unknown init kind {self.init_kind!r}")
+            raise ConfigError(f"unknown init kind {self.init_kind!r}")
         if not self.init_param > 0.0:  # also rejects NaN
-            raise ValueError(f"init_param must be positive, got {self.init_param}")
+            raise ConfigError(f"init_param must be positive, got {self.init_param}")
         if self.init_kind == INIT_NEAR and self.init_param > 1.0:
-            raise ValueError("near-start safety factor must lie in (0, 1]")
+            raise ConfigError("near-start safety factor must lie in (0, 1]")
         if not math.isfinite(2.0 * self.init_param):
-            raise ValueError(f"far-start scale {self.init_param} overflows the range 2 * scale")
+            raise ConfigError(f"far-start scale {self.init_param} overflows the range 2 * scale")
         if not self.policies:
-            raise ValueError("at least one policy is required")
+            raise ConfigError("at least one policy is required")
         for name in self.policies:
             if name not in POLICY_KINDS:
-                raise ValueError(f"unknown policy {name!r}")
+                raise ConfigError(f"unknown policy {name!r}")
         if len(set(self.policies)) != len(self.policies):
-            raise ValueError(f"policies must be distinct, got {list(self.policies)}")
+            raise ConfigError(f"policies must be distinct, got {list(self.policies)}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError("rel_tol must be positive and finite")
+            raise ConfigError("rel_tol must be positive and finite")
         if not 0.0 <= self.delta_rho <= 0.5:
-            raise ValueError("delta_rho must lie in [0, 1/2]")
+            raise ConfigError("delta_rho must lie in [0, 1/2]")
         if self.delta_rho > 0.0 and all(name == FIXED_FGD for name in self.policies):
-            raise ValueError("delta_rho > 0 needs an adaptive policy")
+            raise ConfigError("delta_rho > 0 needs an adaptive policy")
 
     def describe_init(self) -> str:
         return f"{self.init_kind}:{self.init_param}"
@@ -284,13 +287,12 @@ def figure_configs(out_root, seed: int = 1, n: int = 1000, max_iters: int = 2000
     return configs
 
 
-def reproduce_figures(out_root, seed: int = 1, n: int = 1000, max_iters: int = 2000,
-                      rel_tol: float = 1e-10) -> dict[str, dict]:
-    """Run all four benchmark configurations and export CSVs, summaries, and
-    gnuplot templates under out_root. Returns the per-config summaries."""
+def reproduce_figures(out_root, **options) -> dict[str, dict]:
+    """Run the four figure_configs(out_root, **options), all built (and so
+    validated) before the first run, and export CSVs, summaries, and gnuplot
+    templates under out_root. Returns the per-config summaries."""
     results = {}
-    for label, config in figure_configs(out_root, seed=seed, n=n,
-                                        max_iters=max_iters, rel_tol=rel_tol).items():
+    for label, config in figure_configs(out_root, **options).items():
         artifact = run_comparison(config)
         export_csv(artifact)
         write_plot_script(config.output_dir, list(artifact.trajectories), title=label)

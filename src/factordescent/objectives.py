@@ -109,7 +109,7 @@ class FactoredEvaluation:
         return 2.0 * float(_lapack(dgesdd, self.core @ left[:, :rank], compute_uv=0)[1][0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity
 class Objective:
     """f(X) = ||X - A||_F^2 with the target held as A = V diag(s) V^T.
 

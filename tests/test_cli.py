@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from factordescent.cli import ConfigError, main, parse_config_text
+from factordescent.cli import _CONFIG_TABLE, ConfigError, main, parse_config_text
+from factordescent.stepsize import POLICY_KINDS
 
 
 def test_cli_import_loads_no_scipy_optimize():
@@ -28,8 +29,26 @@ class TestUsage:
     def test_unknown_subcommand_exits_2(self):
         assert main(["tune"]) == 2
 
-    def test_bad_flag_value_exits_2(self):
+    def test_bad_flag_value_exits_2(self, capsys):
+        # a flag's text goes through the config file's parser
         assert main(["run", "--n", "ten"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for n: invalid literal for int() with base 10: 'ten'\n")
+
+    def test_unknown_policy_exits_2(self, capsys):
+        assert main(["run", "--policy", "bogus"]) == 2
+        assert capsys.readouterr().err == "error: unknown policy 'bogus'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "99999999999999999999", "--r", "1"],
+        ["run", "--n", "3000000000", "--r", "3000000000"],
+        ["verify", "--n", "99999999999999999999"],
+        ["reproduce-figures", "--n", "99999999999999999999"]])
+    def test_too_large_for_any_array_exits_2(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_bad_init_spec_exits_2(self, capsys):
         assert main(["run", "--init", "close:0.5"]) == 2
@@ -51,6 +70,13 @@ class TestUsage:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+    def test_run_help_has_a_flag_per_config_key(self, capsys):
+        assert main(["run", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert all(name in text for name in POLICY_KINDS)
+        for key, (_, _, help_text) in _CONFIG_TABLE.items():
+            assert f"--{key.replace('_', '-')}" in text and help_text in text
 
 
 class TestRunCommand:
@@ -99,6 +125,14 @@ class TestRunCommand:
 
     def test_missing_config_file_exits_2(self):
         assert main(["run", "--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\u00e9sum\u00e9\nn = 10\n".encode("latin-1"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file: 'utf-8' codec")
+        assert not (tmp_path / "out").exists()
 
     def test_checks_flag_failures_counted(self, tmp_path):
         code = main(["run", "--n", "25", "--r", "2", "--seed", "3",

@@ -99,6 +99,15 @@ class TestProblem:
         u0[0, 0] = u_star[0, 0] = 7.0
         assert problem.u0[0, 0] == 1.0 and problem.u_star[0, 0] == 1.0
 
+    def test_instances_compare_and_hash_by_identity(self):
+        # the generated __eq__ would compare numpy fields and raise
+        problem = make_instance(n=6)
+        alike = Problem(problem.objective, problem.u0.copy(), problem.u_star.copy())
+        assert problem != alike and problem == problem
+        assert len({problem, alike, problem.objective}) == 3
+        replaced = dataclasses.replace(problem.objective, value=lambda x: 0.0)
+        assert replaced.value(None) == 0.0 and replaced.basis is problem.objective.basis
+
 
 class TestInitCondition:
     def test_exact_start_holds(self):

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factordescent import (CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL,
-                           ExperimentConfig, InequalityReport, IterateRecord, RunArtifact,
-                           Trajectory, check_init_condition, export_csv, figure_configs,
+                           ConfigError, ExperimentConfig, FactorDescentError,
+                           InequalityReport, IterateRecord, RunArtifact, Trajectory,
+                           check_init_condition, export_csv, figure_configs,
                            generate_instance, policy_from_name, run_comparison,
                            write_plot_script)
 from factordescent.bounds import _CHECKS
@@ -35,23 +36,23 @@ def small_config(**overrides):
 
 class TestConfigValidation:
     def test_dimension_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ExperimentConfig(n=2, r=3, seed=0)
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             small_config(policies=("newton",))
 
     def test_rho_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             small_config(delta_rho=0.6)
 
     def test_empty_policies(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             small_config(policies=())
 
     def test_near_safety_bounded(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             small_config(init_kind="near", init_param=2.0)
 
     @pytest.mark.parametrize("overrides", [
@@ -63,10 +64,12 @@ class TestConfigValidation:
         dict(rel_tol=float("inf")),
         dict(policies=("fgd",), delta_rho=0.25),  # no policy reads the noise
         dict(seed=-1),  # numpy's seed sequences take non-negative entropy
+        dict(n=2 ** 59, r=1),  # the 16 n r bytes of [U, U*] exceed any array
     ])
     def test_rejects_unusable_values(self, overrides):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError) as info:
             small_config(**overrides)
+        assert isinstance(info.value, FactorDescentError)
 
     def test_accepts_large_finite_far_scale(self):
         assert small_config(init_kind="far", init_param=1e77).init_param == 1e77

@@ -11,13 +11,17 @@ that tree and on this working tree, with one OpenBLAS thread:
         --policy adaptive-exact --max-iters 500 --rel-tol 1e-10 --checks --out exact
 
 The last is the benchmark's ``exact`` workload with ``--checks``, so ``run``'s
-own audit path is diffed as well as ``verify``'s.
+own audit path is diffed as well as ``verify``'s. Five bad-usage commands
+follow (``run --n ten``, ``run --policy bogus``, ``run --init near:2.0``,
+``verify --safety 2``, ``reproduce-figures --n 1 --out figures-bad``); each
+must exit 2.
 
 Each tree's commands run in a directory of their own, so the relative output
 paths printed on stdout match. Prints the number of files compared and the
 line total of ``src/factordescent/*.py`` in REV and in the working tree, and
 exits 0 when every output file, the stdout and the exit code of each command
-agree; otherwise lists each difference and exits 1.
+agree and every bad-usage command exits 2; otherwise lists each difference
+and exits 1.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ COMMANDS = {
               "--policy", "adaptive-exact", "--max-iters", "500", "--rel-tol", "1e-10",
               "--checks", "--out", "exact"],
 }
+BAD_USAGE = {
+    "bad-n": ["run", "--n", "ten"],
+    "bad-policy": ["run", "--policy", "bogus"],
+    "bad-safety": ["run", "--init", "near:2.0"],
+    "bad-verify": ["verify", "--safety", "2"],
+    "bad-figures": ["reproduce-figures", "--n", "1", "--out", "figures-bad"],
+}
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -52,7 +63,7 @@ def run_commands(tree: Path, out: Path) -> dict[str, tuple[int, bytes]]:
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     results = {}
-    for name, args in COMMANDS.items():
+    for name, args in {**COMMANDS, **BAD_USAGE}.items():
         done = subprocess.run([sys.executable, "-m", "factordescent.cli", *args], cwd=out,
                               env=env, capture_output=True)
         results[name] = done.returncode, done.stdout
@@ -83,10 +94,12 @@ def main(argv: list[str]) -> int:
         base_files, head_files = files_under(tmp / "out-base"), files_under(tmp / "out-head")
 
     differences = []
-    for name in COMMANDS:
+    for name in base_results:
         (base_code, base_out), (head_code, head_out) = base_results[name], head_results[name]
         if base_code != head_code:
             differences.append(f"{name}: exit code {base_code} -> {head_code}")
+        elif name in BAD_USAGE and head_code != 2:
+            differences.append(f"{name}: exit code {head_code}, not 2")
         if base_out != head_out:
             differences.append(f"{name}: stdout differs")
     for path in sorted(base_files.keys() | head_files.keys()):
