@@ -26,19 +26,19 @@ per transition (quadratic bound at the step taken, the four contraction
 factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
-One function evaluates all eight as arrays over a run's audit: per iterate
-the nine floats of ``descent._check_data``, which an audited run
-(``run(..., audit=True)``) keeps from the very evaluation its step rule
-used, so the trajectory checks evaluate nothing; per transition the step
-taken and the next squared distance, read off the records. eta* is one
-column. ``trajectory_reports`` returns that table, and the check of
-transition k is its row (k, CHECK_*). The point checks evaluate one factor
-and read its two rows.
+One function evaluates all eight as arrays over a table with a row per
+iterate: the step taken, D2 and ||grad f(X) U||_F^2 off the record, then the
+four floats of ``descent._check_data``, which an audited run (``run(...,
+audit=True)``) keeps from the very evaluation its step rule used, so the
+trajectory checks evaluate nothing; eta0, m and sigma_r(X*) are the
+problem's. Transition k runs from row k to row k + 1, and eta* is one
+column. The check of transition k is the report (k, CHECK_*). The point
+checks evaluate one factor and read its two reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,24 +107,23 @@ def _step_sample(eta_opt, seed) -> np.ndarray:
     return np.concatenate([np.linspace(0.0, top, GRID_POINTS, axis=-1), draws], axis=-1)
 
 
-def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityReport]:
-    """Every check over the audit rows k0, k0 + 1, ..., in (k, check) order.
-    The point checks run at every row; the transition checks at the first
-    len(etas) rows, whose transitions are (etas[i], next_dist_sq[i]) = (step
-    taken, next squared distance). The contraction hypotheses are those in
-    the module docstring; the optimal-step audit needs no radius, only a
-    gradient above its floor."""
-    n_rows, n_steps = len(audit), len(etas)
-    columns = np.array(audit, dtype=float).reshape(n_rows, 9)
-    eta0, local, m, sigma_r, dist_sq, grad_sq, _, correlation, inside = columns.T
+def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> list[InequalityReport]:
+    """Every check over the table rows k0, k0 + 1, ..., in (k, check) order.
+    A row is (step taken, D2, ||grad f(X) U||_F^2, eta_local, gradient floor,
+    correlation, radius flag). The point checks run at every row; the
+    transition checks at every row but the last. The contraction hypotheses
+    are those in the module docstring; the optimal-step audit needs no
+    radius, only a gradient above its floor."""
+    n_rows, n_steps = len(table), max(len(table) - 1, 0)
+    columns = np.array(table, dtype=float).reshape(n_rows, 7)
+    _, dist_sq, grad_sq, local, _, correlation, inside = columns.T
     lhs, rhs = np.zeros((2, n_rows, len(_CHECKS)))
     applicable = np.repeat(inside[:, None] > 0.0, len(_CHECKS), axis=1)
     lhs[:, 0], rhs[:, 0] = (5.0 / 6.0) * eta0, local
     lhs[:, 1], rhs[:, 1] = _regularity_lhs(local, grad_sq, m, sigma_r, dist_sq), correlation
 
     # the transition rows, as columns of shape (n_steps, 1)
-    eta0, local, m, sigma_r, dist_sq, grad_sq, floor = columns[:n_steps, :7].T[..., None]
-    eta = np.array(etas, dtype=float)[:, None]
+    eta, dist_sq, grad_sq, local, floor = columns[:n_steps, :5].T[..., None]
     # eta_optimal's eta*: 0.8 eta_local at or below the floor, where the quotient is dropped
     with np.errstate(divide="ignore", invalid="ignore"):
         eta_opt = np.where(grad_sq > floor,
@@ -137,7 +136,7 @@ def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityR
     bound = dist_sq_upper_bound(np.hstack([eta, eta_opt, _step_sample(eta_opt[:, 0], seed)]),
                                 dist_sq=dist_sq, grad_norm_sq=grad_sq, eta_local=local, m=m,
                                 sigma_r=sigma_r)
-    lhs[:n_steps, 2:] = np.array(next_dist_sq, dtype=float)[:, None]
+    lhs[:n_steps, 2:] = columns[1:, 1:2]  # the next squared distance
     lhs[:n_steps, 7] = bound[:, 1]
     rhs[:n_steps, 2:] = np.hstack([
         bound[:, :1], (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
@@ -159,14 +158,17 @@ def _reports(audit, etas, next_dist_sq, k0: int = 0, seed=0) -> list[InequalityR
         holds.tolist(), applicable.tolist())]
 
 
-def _require_audit(traj: Trajectory) -> None:
+def _require_audit(problem: Problem, traj: Trajectory) -> None:
     if traj.audit is None:
         raise ValueError("trajectory has no audit data; rerun with audit=True")
+    problem._start_radius  # raises without a ground truth, as an audited run does
 
 
 def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
-    data = _check_data(problem, _evaluate(problem, as_factor(u)))
-    return _reports([data], [], [], k0=k)[_CHECKS.index(name)]
+    point = _evaluate(problem, as_factor(u))
+    row = (0.0, point.dist_sq, point.f.grad_norm_sq, *_check_data(problem, point))
+    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar, [row],
+                    k0=k)[_CHECKS.index(name)]
 
 
 def check_local_step_floor(problem: Problem, u, k: int = 0) -> InequalityReport:
@@ -190,17 +192,20 @@ def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     in [0, 2 eta*] beats it by more than OPTIMAL_STEP_TOL. Raises
     ZeroGradientError at a zero gradient with no floor."""
     stepsize.eta_optimal(ctx)  # for its ZeroGradientError
-    row = (*astuple(ctx)[:6], ctx.grad_floor, 0.0, 0.0)  # the row step_context_at reads
-    return _reports([row], [0.0], [ctx.dist_sq], seed=seed)[-1].holds
+    row = (0.0, ctx.dist_sq, ctx.grad_norm_sq, ctx.eta_local, ctx.grad_floor, 0.0, 0.0)
+    return _reports(ctx.eta_fixed, ctx.m, ctx.sigma_r, [row, row],  # a transition from row 0
+                    seed=seed)[_CHECKS.index(CHECK_OPTIMAL_STEP)].holds
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
     """The step context at a recorded iterate (true distance, no estimation
-    error), as the audited run kept it, e.g. to audit the optimal-step
-    property."""
-    _require_audit(traj)
-    row = traj.audit[k]
-    return StepContext(*row[:6], grad_floor=row[6])
+    error), read off its record, its audit row and the problem, e.g. to
+    audit the optimal-step property."""
+    _require_audit(problem, traj)
+    rec, (local, floor, _, _) = traj.records[k], traj.audit[k]
+    return StepContext(eta_fixed=problem._anchor[0], eta_local=local, m=problem.objective.m,
+                       sigma_r=problem.sigma_r_xstar, dist_sq=rec.dist_sq,
+                       grad_norm_sq=rec.grad_norm_sq, grad_floor=floor)
 
 
 def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:
@@ -212,7 +217,7 @@ def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityRep
     is the row with (rep.k, rep.name) == (k, NAME). Requires an audited run
     on problem; nothing is evaluated again.
     """
-    _require_audit(traj)
-    records = traj.records
-    return _reports(traj.audit, [rec.eta for rec in records[:-1]],
-                    [rec.dist_sq for rec in records[1:]])
+    _require_audit(problem, traj)
+    table = [(rec.eta, rec.dist_sq, rec.grad_norm_sq, *row)
+             for rec, row in zip(traj.records, traj.audit, strict=True)]
+    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar, table)

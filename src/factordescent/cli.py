@@ -80,20 +80,19 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    if ".." in text:
-        first, _, last = text.partition("..")
-        try:
-            lo, hi = int(first), int(last)
-        except ValueError as exc:
-            raise ConfigError(f"bad seed range {text!r}") from exc
-        if hi < lo:
-            raise ConfigError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
+def _parse_seed_range(text: str) -> range:
+    """A single seed or an inclusive range FIRST..LAST, as a lazy range."""
+    first, dots, last = text.partition("..")
     try:
-        return [int(text)]
+        seeds = range(int(first), int(last if dots else first) + 1)
+        count = len(seeds)  # OverflowError past sys.maxsize seeds
     except ValueError as exc:
-        raise ConfigError(f"bad seed {text!r}") from exc
+        raise ConfigError(f"bad seed{' range' if dots else ''} {text!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"seed range {text!r} has too many seeds to count") from exc
+    if not count:
+        raise ConfigError(f"empty seed range {text!r}")
+    return seeds
 
 
 # config key -> (ExperimentConfig field(s), parser, help). Each key is also a
@@ -200,8 +199,9 @@ def _failed_runs(count: int) -> str:
 
 
 def _cmd_reproduce_figures(args) -> int:
-    results = reproduce_figures(args.out, seed=args.seed, n=args.n,
-                                max_iters=args.max_iters, rel_tol=args.rel_tol)
+    options = {key: getattr(args, key) for key in ("seed", "n", "max_iters", "rel_tol")
+               if getattr(args, key) is not None}
+    results = reproduce_figures(args.out, **options)
     status = 0
     for label, summary in results.items():
         parts = []
@@ -252,11 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-figures",
         help="run the four benchmark configs (rank 2/5 x near/far) and export CSVs")
     p_fig.add_argument("--out", default="figures-output")
-    p_fig.add_argument("--seed", type=int, default=1)
-    p_fig.add_argument("--n", type=int, default=1000,
-                       help="matrix dimension (lower for smoke tests)")
-    p_fig.add_argument("--max-iters", type=int, dest="max_iters", default=2000)
-    p_fig.add_argument("--rel-tol", type=float, dest="rel_tol", default=1e-10)
+    p_fig.add_argument("--seed", type=int)
+    p_fig.add_argument("--n", type=int, help="matrix dimension (lower for smoke tests)")
+    p_fig.add_argument("--max-iters", type=int, dest="max_iters")
+    p_fig.add_argument("--rel-tol", type=float, dest="rel_tol")
     p_fig.set_defaults(func=_cmd_reproduce_figures)
 
     return parser

@@ -9,8 +9,9 @@ with eta_k chosen by a StepPolicy: the anchored fixed step, the exact
 per-iteration optimal step (optionally with synthetic distance-estimation
 noise), or the practical variant. A run records one IterateRecord per
 iterate, including the final one, whose eta is the step that would have been
-taken next. An audited run also keeps, per iterate, the data the checks in
-``bounds`` read, taken from the same evaluation the step rule used.
+taken next. An audited run also keeps, per iterate, the four numbers the
+checks in ``bounds`` read beside the record, taken from the same evaluation
+the step rule used.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class IterateRecord:
 @dataclass
 class Trajectory:
     """All records of a run plus the termination reason; when the run was
-    audited, audit holds the check data of every recorded iterate, one row
-    of nine floats each (see ``_check_data``)."""
+    audited, audit holds, per recorded iterate, the four floats of
+    ``_check_data`` that the checks read beside the record."""
 
     records: list[IterateRecord]
     terminated: str
@@ -278,12 +279,16 @@ class _Evaluation:
     gradient scale max(1, ||U||_F)^4 and, with a ground truth, the aligned
     error U - U* R and dist(U, U*)."""
 
-    u: np.ndarray
     f: FactoredEvaluation
     scale: float
     error: np.ndarray | None
     dist: float | None
     dist_sq: float | None
+
+    @cached_property
+    def eta_local(self) -> float:
+        """eta_local at U, on first use: the exact step and the audit share it."""
+        return stepsize.eta_local(Objective.M, self.f.x_norm, self.f.projected_grad_norm)
 
 
 def _evaluate(problem: Problem, u: np.ndarray, k: int = 0) -> _Evaluation:
@@ -301,23 +306,15 @@ def _evaluate(problem: Problem, u: np.ndarray, k: int = 0) -> _Evaluation:
         error = u - problem.u_star @ _procrustes(u, problem.u_star)
         distance = _frobenius(error)
         dist_sq = distance ** 2
-    return _Evaluation(u=u, f=f, scale=scale, error=error, dist=distance, dist_sq=dist_sq)
+    return _Evaluation(f=f, scale=scale, error=error, dist=distance, dist_sq=dist_sq)
 
 
-def _eta_local(problem: Problem, point: _Evaluation) -> float:
-    return stepsize.eta_local(problem.objective.M, point.f.x_norm, point.f.projected_grad_norm)
-
-
-def _check_data(problem: Problem, point: _Evaluation, eta_local=None) -> tuple[float, ...]:
-    """The nine floats the checks in ``bounds`` read at an evaluated iterate:
-    the anchored fixed step, eta_local (computed unless given), m, sigma_r of
-    X*, the squared distance, ||grad f(X) U||_F^2, the gradient floor,
-    <grad f(X) U, U - U* R>, and 1.0 inside the start radius, else 0.0."""
+def _check_data(problem: Problem, point: _Evaluation) -> tuple[float, float, float, float]:
+    """The four floats only the audit computes at an evaluated iterate: eta_local,
+    the gradient floor, <grad f(X) U, U - U* R>, and 1.0 inside the start radius,
+    else 0.0. The checks read the rest off the iterate's record and the problem."""
     radius = problem._start_radius  # raises without a ground truth
-    if eta_local is None:
-        eta_local = _eta_local(problem, point)
-    return (problem._anchor[0], eta_local, problem.objective.m, problem.sigma_r_xstar,
-            point.dist_sq, point.f.grad_norm_sq, stepsize._GRAD_FLOOR * point.scale,
+    return (point.eta_local, stepsize._GRAD_FLOOR * point.scale,
             float(np.sum(point.f.direction * point.error)), float(point.dist <= radius))
 
 
@@ -342,26 +339,24 @@ def step(u, policy: StepPolicy, problem: Problem, *,
 
     Returns (next factor, record of the current iterate). state carries the
     run-level constants; passing None recomputes them from the problem.
-    When audit is a list, the check data of the current iterate (see
-    ``_check_data``) is appended to it once the update is known to be
-    finite; an exact step lends it its own eta_local. Raises
-    NumericalBlowupError when the iterate or the update is not finite.
+    When audit is a list, the current iterate's ``_check_data`` is appended
+    to it once the update is known to be finite. Raises NumericalBlowupError
+    when the iterate or the update is not finite.
     """
     u = as_factor(u)
     if state is None:
         state = prepare(problem, policy)
     point = _evaluate(problem, u, k)
 
-    eta_k, delta, local = state.eta0, 0.0, None
+    eta_k, delta = state.eta0, 0.0
     if policy.kind != FIXED_FGD:
         if policy.delta_rho > 0.0:
             if delta_rng is None:
                 raise ValueError("delta_rho > 0 requires a delta_rng")
             delta = policy.delta_rho * point.dist_sq * float(delta_rng.uniform(-1.0, 1.0))
         exact = policy.kind == ADAPTIVE_EXACT
-        local = _eta_local(problem, point) if exact else None
-        ctx = StepContext(eta_fixed=state.eta0, eta_local=local or 0.0, m=problem.objective.m,
-                          sigma_r=state.sigma_r, dist_sq=point.dist_sq,
+        ctx = StepContext(eta_fixed=state.eta0, eta_local=point.eta_local if exact else 0.0,
+                          m=problem.objective.m, sigma_r=state.sigma_r, dist_sq=point.dist_sq,
                           grad_norm_sq=point.f.grad_norm_sq, delta=delta,
                           grad_floor=stepsize._GRAD_FLOOR * point.scale)
         eta_k = stepsize.eta_estimated(ctx) if exact else stepsize.eta_practical(ctx)
@@ -377,11 +372,11 @@ def step(u, policy: StepPolicy, problem: Problem, *,
                            stationary=point.f.grad_norm_sq < _STOP_FLOOR * point.scale)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        u_next = point.u - eta_k * point.f.direction
+        u_next = u - eta_k * point.f.direction
     if not np.isfinite(u_next).all():
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
     if audit is not None:
-        audit.append(_check_data(problem, point, local))
+        audit.append(_check_data(problem, point))
     return u_next, record
 
 

@@ -54,7 +54,7 @@ def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value, computed from a full SVD."""
+    """Largest singular value, from the singular values alone (no vectors)."""
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 

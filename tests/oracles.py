@@ -11,7 +11,7 @@ time in plain Python floats.
 
 import numpy as np
 
-from factordescent import StepContext, stepsize
+from factordescent import StepContext, StepPolicy, prepare, stepsize
 from factordescent.bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                                   CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                                   CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
@@ -128,12 +128,11 @@ def _optimal_step_report(k, ctx, eta_opt, seed=0):
                        tol_abs=OPTIMAL_STEP_TOL, tol_rel=0.0)
 
 
-def _reports(k, data, transition=None):
-    """Every check at iterate k from its audit row of nine floats, with eta*
-    from the scalar rule. The point checks always; the transition checks
-    when transition = (step taken, next squared distance) is given."""
-    ctx = StepContext(*data[:6], grad_floor=data[6])
-    correlation, inside = data[7:]
+def _reports(k, ctx, correlation, inside, transition=None):
+    """Every check at iterate k from its step context, correlation and radius
+    flag, with eta* from the scalar rule. The point checks always; the
+    transition checks when transition = (step taken, next squared distance)
+    is given."""
     m, sigma_r, eta0, dist_sq = ctx.m, ctx.sigma_r, ctx.eta_fixed, ctx.dist_sq
     reports = [
         make_report(k, CHECK_LOCAL_STEP_FLOOR, lhs=(5.0 / 6.0) * eta0,
@@ -166,12 +165,17 @@ def _reports(k, data, transition=None):
     return reports
 
 
-def reference_reports(traj):
-    """Every report of an audited trajectory, built iterate by iterate: the
+def reference_reports(problem, traj):
+    """Every report of an audited trajectory on problem, built iterate by
+    iterate from the record, the audit row and the problem's constants: the
     reference that bounds.trajectory_reports must equal row for row."""
     reports = []
-    last = len(traj.records) - 1
-    for k, data in enumerate(traj.audit):
-        transition = None if k == last else (traj.records[k].eta, traj.records[k + 1].dist_sq)
-        reports += _reports(k, data, transition)
+    eta0, last = prepare(problem, StepPolicy.fixed()).eta0, len(traj.records) - 1
+    for k, (rec, row) in enumerate(zip(traj.records, traj.audit, strict=True)):
+        local, floor, correlation, inside = row
+        ctx = StepContext(eta_fixed=eta0, eta_local=local, m=problem.objective.m,
+                          sigma_r=problem.sigma_r_xstar, dist_sq=rec.dist_sq,
+                          grad_norm_sq=rec.grad_norm_sq, grad_floor=floor)
+        transition = None if k == last else (rec.eta, traj.records[k + 1].dist_sq)
+        reports += _reports(k, ctx, correlation, inside, transition)
     return reports

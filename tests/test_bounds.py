@@ -6,10 +6,10 @@ import pytest
 from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                            CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                            CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
-                           CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InvalidMatrixError, StepContext,
-                           StepPolicy, ZeroGradientError, check_local_step_floor,
-                           check_optimal_step, check_regularity, dist_sq_upper_bound,
-                           eta_estimated, init_far, init_near, make_problem,
+                           CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InvalidMatrixError,
+                           MissingGroundTruthError, StepContext, StepPolicy, ZeroGradientError,
+                           check_local_step_floor, check_optimal_step, check_regularity,
+                           dist_sq_upper_bound, eta_estimated, init_far, init_near, make_problem,
                            matrix_factorization, prepare, run, step, step_context_at,
                            trajectory_reports)
 from factordescent import bounds, descent, stepsize
@@ -385,6 +385,29 @@ class TestSinglePass:
             # the original trajectory passes the same checks
             assert original[k, name].holds
 
+    @pytest.mark.parametrize("cut", ["audit", "records"])
+    def test_mismatched_trajectory_is_rejected(self, cut):
+        problem = make_instance(n=25, r=3, seed=1005)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-15)
+        assert len(traj.records) == len(traj.audit) == 31
+        short = dataclasses.replace(traj, **{cut: getattr(traj, cut)[:-1]})
+        with pytest.raises(ValueError):
+            trajectory_reports(problem, short)
+
+    def test_record_distance_feeds_the_point_checks(self):
+        # the checks read D2 off the record: replacing it moves row k's regularity lhs
+        problem = make_instance(n=25, r=3, seed=1006)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=5, rel_tol=1e-15)
+        k = 2
+        records = list(traj.records)
+        records[k] = dataclasses.replace(records[k], dist_sq=4.0 * records[k].dist_sq)
+        moved = rows_of(problem, dataclasses.replace(traj, records=records))
+        original = rows_of(problem, traj)
+        m, sigma_r = problem.objective.m, problem.sigma_r_xstar
+        assert moved[k, CHECK_REGULARITY].lhs == pytest.approx(
+            original[k, CHECK_REGULARITY].lhs + 0.45 * m * sigma_r * traj.records[k].dist_sq)
+        assert moved[k - 1, CHECK_REGULARITY] == original[k - 1, CHECK_REGULARITY]
+
     def test_wrong_optimal_step_fails_the_audit(self, monkeypatch):
         problem = make_instance(n=25, r=3, seed=1002)
         traj = near_run(problem, StepPolicy.adaptive_exact())
@@ -403,7 +426,7 @@ class TestScalarReference:
     @staticmethod
     def assert_rows_equal(problem, traj):
         reports = trajectory_reports(problem, traj)
-        reference = reference_reports(traj)
+        reference = reference_reports(problem, traj)
         assert len(reports) == len(reference)
         for got, want in zip(reports, reference):
             for field in dataclasses.fields(want):
@@ -426,7 +449,7 @@ class TestScalarReference:
         problem = make_problem(near.objective, init_far(near.u_star, 9), u_star=near.u_star)
         # every iterate of the first ten transitions lies outside the radius
         traj = near_run(problem, StepPolicy.adaptive_practical(), max_iters=10)
-        assert not any(row[8] for row in traj.audit)  # the row's radius flag
+        assert not any(row[3] for row in traj.audit)  # the row's radius flag
         reports = self.assert_rows_equal(problem, traj)
         assert not any(rep.applicable for rep in reports if rep.name != CHECK_OPTIMAL_STEP)
 
@@ -448,4 +471,15 @@ class TestScalarReference:
     def test_empty_audit(self):
         problem = make_instance(seed=1104)
         empty = Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])
-        assert trajectory_reports(problem, empty) == reference_reports(empty) == []
+        assert trajectory_reports(problem, empty) == reference_reports(problem, empty) == []
+
+    def test_problem_without_ground_truth_is_rejected(self):
+        # no audited run exists on a blind problem, so its checks have no sigma_r(X*)
+        problem = make_instance(seed=1105)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=5)
+        blind = make_problem(problem.objective, problem.u0)
+        for audit in (traj, Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])):
+            with pytest.raises(MissingGroundTruthError):
+                trajectory_reports(blind, audit)
+        with pytest.raises(MissingGroundTruthError):
+            step_context_at(blind, traj, 0)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from factordescent.cli import _CONFIG_TABLE, ConfigError, main, parse_config_text
+from factordescent.cli import (_CONFIG_TABLE, ConfigError, _parse_seed_range, build_parser,
+                               main, parse_config_text)
 from factordescent.stepsize import POLICY_KINDS
 
 
@@ -43,7 +44,8 @@ class TestUsage:
         ["run", "--n", "99999999999999999999", "--r", "1"],
         ["run", "--n", "3000000000", "--r", "3000000000"],
         ["verify", "--n", "99999999999999999999"],
-        ["reproduce-figures", "--n", "99999999999999999999"]])
+        ["reproduce-figures", "--n", "99999999999999999999"],
+        ["verify", "--seed", "0..1000000000000000000000"]])  # more seeds than len() counts
     def test_too_large_for_any_array_exits_2(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -163,6 +165,10 @@ class TestVerifyCommand:
         assert main(["verify", *argv]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_seed_range_is_lazy(self):
+        assert _parse_seed_range("0..1000000") == range(1000001)
+        assert _parse_seed_range("7") == range(7, 8)
+
     def test_out_dumps_csvs(self, tmp_path):
         code = main(["verify", "--seed", "3", "--n", "20", "--r", "2",
                      "--max-iters", "150", "--out", str(tmp_path)])
@@ -178,6 +184,11 @@ class TestReproduceFiguresCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_defaults_come_from_figure_configs(self):
+        # the parser forwards only the flags given; figure_configs holds the defaults
+        args = build_parser().parse_args(["reproduce-figures"])
+        assert [args.seed, args.n, args.max_iters, args.rel_tol] == [None] * 4
 
     def test_value_error_in_a_run_exits_1(self, monkeypatch, tmp_path):
         import factordescent.experiments as experiments

@@ -370,7 +370,8 @@ class TestRun:
         problem = make_instance(seed=34)
         traj = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12, audit=True)
         assert len(traj.audit) == len(traj.records)
-        assert traj.audit[0][4] == traj.records[0].dist_sq  # the row's squared distance
+        # a row keeps what only the audit computes: eta_local, floor, correlation, flag
+        assert all(len(row) == 4 for row in traj.audit)
         unaudited = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12)
         assert unaudited.audit is None and unaudited.records == traj.records
         # a run that blows up keeps no entry for the iterate it could not leave
@@ -424,7 +425,7 @@ class TestWithinStartRadius:
     def test_iterates_stay_inside_from_near_start(self):
         problem = make_instance(n=30, r=2, seed=38)
         traj = run(problem, StepPolicy.fixed(), max_iters=100, rel_tol=1e-9, audit=True)
-        assert all(row[8] for row in traj.audit)  # the row's radius flag
+        assert all(row[3] for row in traj.audit)  # the row's radius flag
         # the audit's flag is the radius test a point check applies
         radius = check_init_condition(problem).rhs
         far = np.random.default_rng(5).uniform(-1.0, 1.0, problem.u0.shape)

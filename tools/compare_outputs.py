@@ -6,15 +6,18 @@ Extracts REV with ``git archive`` into a temporary directory, then runs, on
 that tree and on this working tree, with one OpenBLAS thread:
 
     factordescent verify --seed 1..50 --out verify
+    factordescent verify --seed 1..10 --delta-rho 0 --out verify-exact
     factordescent reproduce-figures --seed 1 --out figures
     factordescent run --n 600 --r 5 --seed 1 --init near:0.5 \
         --policy adaptive-exact --max-iters 500 --rel-tol 1e-10 --checks --out exact
 
-The last is the benchmark's ``exact`` workload with ``--checks``, so ``run``'s
-own audit path is diffed as well as ``verify``'s. Five bad-usage commands
-follow (``run --n ten``, ``run --policy bogus``, ``run --init near:2.0``,
-``verify --safety 2``, ``reproduce-figures --n 1 --out figures-bad``); each
-must exit 2.
+The noise-free ``verify-exact`` sweep is the one that makes the two
+exact-step contractions applicable, so all eight checks are diffed. The last
+is the benchmark's ``exact`` workload with ``--checks``, so ``run``'s own
+audit path is diffed as well as ``verify``'s. Six bad-usage commands follow
+(``run --n ten``, ``run --policy bogus``, ``run --init near:2.0``,
+``verify --safety 2``, ``verify --seed 0..1000000000000000000000``,
+``reproduce-figures --n 1 --out figures-bad``); each must exit 2.
 
 Each tree's commands run in a directory of their own, so the relative output
 paths printed on stdout match. Prints the number of files compared and the
@@ -37,6 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 COMMANDS = {
     "verify": ["verify", "--seed", "1..50", "--out", "verify"],
+    "verify-exact": ["verify", "--seed", "1..10", "--delta-rho", "0", "--out", "verify-exact"],
     "reproduce-figures": ["reproduce-figures", "--seed", "1", "--out", "figures"],
     "exact": ["run", "--n", "600", "--r", "5", "--seed", "1", "--init", "near:0.5",
               "--policy", "adaptive-exact", "--max-iters", "500", "--rel-tol", "1e-10",
@@ -47,6 +51,7 @@ BAD_USAGE = {
     "bad-policy": ["run", "--policy", "bogus"],
     "bad-safety": ["run", "--init", "near:2.0"],
     "bad-verify": ["verify", "--safety", "2"],
+    "bad-seed-range": ["verify", "--seed", "0..1000000000000000000000"],
     "bad-figures": ["reproduce-figures", "--n", "1", "--out", "figures-bad"],
 }
 
