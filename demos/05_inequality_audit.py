@@ -8,8 +8,6 @@
 # the typical source.
 #
 
-from collections import defaultdict
-
 import numpy as np
 
 from factordescent import (CHECK_OPTIMAL_STEP, ExperimentConfig,
@@ -34,30 +32,27 @@ print(f"run: {traj.terminated} after {traj.final.k} iterations, "
 # ---------------------------------------------------------------
 # every check, worst slack across the trajectory
 # ---------------------------------------------------------------
-reports = trajectory_reports(problem, traj)
-slack = defaultdict(lambda: np.inf)
-counts = defaultdict(int)
-skipped = defaultdict(int)
-for rep in reports:
-    if rep.applicable:
-        slack[rep.name] = min(slack[rep.name], rep.slack)
-        counts[rep.name] += 1
-        assert rep.holds, rep
-    else:
-        skipped[rep.name] += 1
+reports = trajectory_reports(problem, traj)  # one record array, a row per check
+assert reports.holds[reports.applicable].all()
 
 print()
 print(f"{'check':28s} {'evaluations':>12s} {'min slack':>12s}")
-for name in sorted(counts):
-    print(f"{name:28s} {counts[name]:12d} {slack[name]:12.3e}")
+skipped = {}
+for name in sorted(set(reports.name.tolist())):
+    rows = reports[reports.name == name]
+    slack = rows.slack[rows.applicable]
+    if len(slack):
+        print(f"{name:28s} {len(slack):12d} {slack.min():12.3e}")
+    if not rows.applicable.all():
+        skipped[name] = int(np.count_nonzero(~rows.applicable))
 if skipped:
-    print("not applicable:", dict(skipped))
+    print("not applicable:", skipped)
 
 # ---------------------------------------------------------------
 # the chosen step really minimizes the quadratic bound: the optimal_step
 # rows compare the bound at eta* with its minimum over sampled steps
 # ---------------------------------------------------------------
-audit = [rep for rep in reports if rep.name == CHECK_OPTIMAL_STEP]
-verified = sum(rep.holds for rep in audit if rep.applicable)
+audit = reports[reports.name == CHECK_OPTIMAL_STEP]
+verified = np.count_nonzero(audit.holds & audit.applicable)
 print(f"\noptimal-step property verified at {verified} of "
       f"{len(audit)} transitions")

@@ -30,9 +30,9 @@ from .descent import (InitCheck, IterateRecord, Problem, RunState, Trajectory,
 from .bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_LOCAL,
                      CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                      CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
-                     CHECK_OPTIMAL_STEP, CHECK_REGULARITY, InequalityReport,
-                     check_local_step_floor, check_optimal_step, check_regularity,
-                     dist_sq_upper_bound, step_context_at, trajectory_reports)
+                     CHECK_OPTIMAL_STEP, CHECK_REGULARITY, check_local_step_floor,
+                     check_optimal_step, check_regularity, dist_sq_upper_bound,
+                     step_context_at, trajectory_reports)
 from .experiments import (ExperimentConfig, RunArtifact, export_csv,
                           figure_configs, generate_instance, policy_from_name,
                           reproduce_figures, run_comparison, write_plot_script)
@@ -54,8 +54,8 @@ __all__ = [
     "check_init_condition", "init_near", "init_far",
     "TERMINATED_TOLERANCE", "TERMINATED_MAX_ITERS", "TERMINATED_STATIONARY",
     "TERMINATED_DIVERGED",
-    "InequalityReport", "check_local_step_floor", "check_regularity",
-    "dist_sq_upper_bound", "check_optimal_step", "step_context_at", "trajectory_reports",
+    "check_local_step_floor", "check_regularity", "dist_sq_upper_bound",
+    "check_optimal_step", "step_context_at", "trajectory_reports",
     "CHECK_LOCAL_STEP_FLOOR", "CHECK_REGULARITY", "CHECK_DESCENT_QUADRATIC",
     "CHECK_CONTRACTION_FIXED", "CHECK_CONTRACTION_ADAPTIVE",
     "CHECK_CONTRACTION_EXACT_LOCAL", "CHECK_CONTRACTION_EXACT_OPTIMAL",

@@ -1,11 +1,11 @@
 """Executable checks of the convergence analysis on concrete trajectories.
 
-Every check compares the two sides of a proven inequality and returns an
-InequalityReport with slack = rhs - lhs; slack >= 0 up to a small floating
-point tolerance means the inequality holds. Checks whose hypotheses fail at
-a given iterate (start radius exceeded, step of the wrong kind, estimation
-error out of range) are marked not applicable instead of failed, so sweeps
-over mixed trajectories never count vacuous cases either way.
+Every check compares the two sides of a proven inequality, with slack =
+rhs - lhs; slack >= 0 up to a small floating point tolerance means it holds.
+Checks whose hypotheses fail at a given iterate (start radius exceeded, step
+of the wrong kind, estimation error out of range) are marked not applicable
+instead of failed, so sweeps over mixed trajectories never count vacuous
+cases either way.
 
 Contraction factors verified per transition, with D2 = squared distance,
 each applicable inside the start radius and for the steps listed:
@@ -32,13 +32,14 @@ four floats of ``descent._check_data``, which an audited run (``run(...,
 audit=True)``) keeps from the very evaluation its step rule used, so the
 trajectory checks evaluate nothing; eta0, m and sigma_r(X*) are the
 problem's. Transition k runs from row k to row k + 1, and eta* is one
-column. The check of transition k is the report (k, CHECK_*). The point
-checks evaluate one factor and read its two reports.
+column. The result is one numpy record array with a row (k, name, lhs, rhs,
+slack, holds, applicable) per check and iterate, in (k, check) order; the
+check of transition k is the row (k, CHECK_*). Index it for a row of numpy
+scalars or read a field as a column; it has no truth value, so test it with
+len(), and .tolist() gives Python values. The point checks return one row.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,19 +72,7 @@ _CHECKS = (CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY, CHECK_DESCENT_QUADRATIC,
            CHECK_CONTRACTION_FIXED, CHECK_CONTRACTION_ADAPTIVE,
            CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_OPTIMAL_STEP)
 _TOL_ABS, _TOL_REL = np.array([[TOL_ABS] * 7 + [OPTIMAL_STEP_TOL], [TOL_REL] * 7 + [0.0]])
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """One inequality instance: holds iff slack >= -(tol_abs + tol_rel |rhs|)."""
-
-    k: int
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-    applicable: bool
+_NAMES = np.array(_CHECKS)
 
 
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
@@ -107,7 +96,7 @@ def _step_sample(eta_opt, seed) -> np.ndarray:
     return np.concatenate([np.linspace(0.0, top, GRID_POINTS, axis=-1), draws], axis=-1)
 
 
-def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> list[InequalityReport]:
+def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> np.recarray:
     """Every check over the table rows k0, k0 + 1, ..., in (k, check) order.
     A row is (step taken, D2, ||grad f(X) U||_F^2, eta_local, gradient floor,
     correlation, radius flag). The point checks run at every row; the
@@ -153,9 +142,8 @@ def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> list[InequalityRep
     lhs, rhs, applicable = lhs[present], rhs[present], applicable[present]
     slack = rhs - lhs
     holds = slack >= -(_TOL_ABS[checks] + _TOL_REL[checks] * np.abs(rhs))
-    return [InequalityReport(k, _CHECKS[check], *row) for k, check, *row in zip(
-        (ks + k0).tolist(), checks.tolist(), lhs.tolist(), rhs.tolist(), slack.tolist(),
-        holds.tolist(), applicable.tolist())]
+    return np.rec.fromarrays([ks + k0, _NAMES[checks], lhs, rhs, slack, holds, applicable],
+                             names="k,name,lhs,rhs,slack,holds,applicable")
 
 
 def _require_audit(problem: Problem, traj: Trajectory) -> None:
@@ -164,20 +152,20 @@ def _require_audit(problem: Problem, traj: Trajectory) -> None:
     problem._start_radius  # raises without a ground truth, as an audited run does
 
 
-def _point_report(problem: Problem, u, k: int, name: str) -> InequalityReport:
+def _point_report(problem: Problem, u, k: int, name: str) -> np.record:
     point = _evaluate(problem, as_factor(u))
     row = (0.0, point.dist_sq, point.f.grad_norm_sq, *_check_data(problem, point))
     return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar, [row],
                     k0=k)[_CHECKS.index(name)]
 
 
-def check_local_step_floor(problem: Problem, u, k: int = 0) -> InequalityReport:
+def check_local_step_floor(problem: Problem, u, k: int = 0) -> np.record:
     """The local step at the iterate is at least 5/6 of the anchored fixed
     step. Applicable only inside the start radius."""
     return _point_report(problem, u, k, CHECK_LOCAL_STEP_FLOOR)
 
 
-def check_regularity(problem: Problem, u, k: int = 0) -> InequalityReport:
+def check_regularity(problem: Problem, u, k: int = 0) -> np.record:
     """The descent direction correlates with the aligned error at least as
     strongly as the weighted sum of gradient energy and squared distance:
 
@@ -194,7 +182,7 @@ def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     stepsize.eta_optimal(ctx)  # for its ZeroGradientError
     row = (0.0, ctx.dist_sq, ctx.grad_norm_sq, ctx.eta_local, ctx.grad_floor, 0.0, 0.0)
     return _reports(ctx.eta_fixed, ctx.m, ctx.sigma_r, [row, row],  # a transition from row 0
-                    seed=seed)[_CHECKS.index(CHECK_OPTIMAL_STEP)].holds
+                    seed=seed).holds.tolist()[_CHECKS.index(CHECK_OPTIMAL_STEP)]
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
@@ -208,8 +196,9 @@ def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
                        grad_norm_sq=rec.grad_norm_sq, grad_floor=floor)
 
 
-def trajectory_reports(problem: Problem, traj: Trajectory) -> list[InequalityReport]:
-    """Every check at every recorded iterate of a trajectory.
+def trajectory_reports(problem: Problem, traj: Trajectory) -> np.recarray:
+    """Every check at every recorded iterate of a trajectory, as one record
+    array (see the module docstring).
 
     Point checks (step floor, regularity) run at each iterate; transition
     checks (quadratic bound, all four contraction factors, optimal step) at

@@ -255,10 +255,10 @@ def _nonzero_uniform(rng, shape, scale):
 def init_far(u_star, seed, scale: float = 1.0) -> np.ndarray:
     """Start independent of the ground truth: i.i.d. Uniform(-scale, scale)
     entries, matching the law the benchmark instances use for U* itself.
-    An all-zero draw is redrawn."""
+    An all-zero draw is redrawn. The width 2 scale must be finite."""
     u_star = as_factor(u_star)
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < 2.0 * scale < math.inf:  # also rejects NaN
+        raise ValueError(f"scale must be positive with 2 * scale finite, got {scale}")
     return _nonzero_uniform(np.random.default_rng(seed), u_star.shape, scale)
 
 

@@ -13,8 +13,9 @@ CSV schemas (fixed):
   per-policy trajectory  iter,g_value,rel_error,dist_sq,eta,grad_norm_sq,delta
   checks.csv             iter,name,lhs,rhs,slack,holds,applicable
 
-Floats are printed in their shortest round-trip form, so parsing the files
-recovers the exact binary values.
+checks.csv lists the rows of each policy's trajectory_reports record array
+in policy order. Floats are printed in their shortest round-trip form, so
+parsing the files recovers the exact binary values.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import InequalityReport, trajectory_reports
+from .bounds import trajectory_reports
 from .descent import Problem, Trajectory, init_far, init_near, make_problem, run
 from .errors import ConfigError, FactorDescentError
 from .objectives import matrix_factorization
@@ -102,13 +103,13 @@ class ExperimentConfig:
 @dataclass
 class RunArtifact:
     """Everything a comparison produced: the shared problem, one trajectory
-    per policy name, optional check reports, per-policy failures, and a
-    JSON-ready summary."""
+    per policy name, optional check reports (a trajectory_reports record
+    array per policy name), per-policy failures, and a JSON-ready summary."""
 
     config: ExperimentConfig
     problem: Problem
     trajectories: dict[str, Trajectory] = field(default_factory=dict)
-    reports: dict[str, list[InequalityReport]] = field(default_factory=dict)
+    reports: dict[str, np.recarray] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
 
@@ -184,11 +185,10 @@ def _summarize(artifact: RunArtifact) -> dict:
             fgd / it if fgd is not None and it not in (None, 0) else None)
     checks = {}
     for label, reports in artifact.reports.items():
-        applicable = [rep for rep in reports if rep.applicable]
         checks[label] = {
             "total": len(reports),
-            "applicable": len(applicable),
-            "failures": sum(1 for rep in applicable if not rep.holds),
+            "applicable": int(np.count_nonzero(reports.applicable)),
+            "failures": int(np.count_nonzero(reports.applicable & ~reports.holds)),
         }
     return {
         "config": {
@@ -237,11 +237,10 @@ def export_csv(artifact: RunArtifact, out_dir=None) -> list[Path]:
         _write_text(path, "\n".join([ITERATE_HEADER, *_iterate_rows(traj)]) + "\n")
         written.append(path)
     if artifact.reports:
-        rows = [CHECKS_HEADER]
-        for label in artifact.trajectories:
-            rows += [f"{rep.k},{rep.name},{rep.lhs!r},{rep.rhs!r},{rep.slack!r},"
-                     f"{_BOOL[rep.holds]},{_BOOL[rep.applicable]}"
-                     for rep in artifact.reports.get(label, [])]
+        rows = [CHECKS_HEADER] + [
+            f"{k},{name},{lhs!r},{rhs!r},{slack!r},{_BOOL[holds]},{_BOOL[applicable]}"
+            for label in artifact.trajectories if label in artifact.reports
+            for k, name, lhs, rhs, slack, holds, applicable in artifact.reports[label].tolist()]
         path = out / "checks.csv"
         _write_text(path, "\n".join(rows) + "\n")
         written.append(path)

@@ -152,7 +152,7 @@ def _adaptive_step(ctx: StepContext, base: float, dist_sq: float) -> float:
     if dist_sq < 0.0:
         raise NegativeEstimateError(
             f"estimated squared distance is negative: {dist_sq}")
-    if ctx.grad_norm_sq > max(ctx.grad_floor, 0.0):
+    if ctx.grad_norm_sq > ctx.grad_floor:
         return _distance_step(base, ctx.m, ctx.sigma_r, dist_sq, ctx.grad_norm_sq)
     # below the floor the quotient is meaningless; with no floor, 0 is an error
     if ctx.grad_floor > 0.0:

@@ -9,6 +9,8 @@ reference evaluates the inequality checks one iterate and one report at a
 time in plain Python floats.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from factordescent import StepContext, StepPolicy, prepare, stepsize
@@ -16,10 +18,12 @@ from factordescent.bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_
                                   CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                                   CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
                                   CHECK_OPTIMAL_STEP, CHECK_REGULARITY, GRID_POINTS,
-                                  OPTIMAL_STEP_TOL, RANDOM_DRAWS, TOL_ABS, TOL_REL,
-                                  InequalityReport)
+                                  OPTIMAL_STEP_TOL, RANDOM_DRAWS, TOL_ABS, TOL_REL)
 
 ROTATION_GRID_STEP = 1e-4
+
+# one reference report: the fields of a row of bounds.trajectory_reports
+Report = namedtuple("Report", "k name lhs rhs slack holds applicable")
 
 
 def brute_force_dist(u, v, step=ROTATION_GRID_STEP):
@@ -96,8 +100,8 @@ def dense_eta_local(big_m, grad, u):
 def make_report(k, name, lhs, rhs, applicable=True, tol_abs=TOL_ABS, tol_rel=TOL_REL):
     slack = rhs - lhs
     holds = bool(slack >= -(tol_abs + tol_rel * abs(rhs)))
-    return InequalityReport(k=int(k), name=name, lhs=float(lhs), rhs=float(rhs),
-                            slack=float(slack), holds=holds, applicable=bool(applicable))
+    return Report(k=int(k), name=name, lhs=float(lhs), rhs=float(rhs), slack=float(slack),
+                  holds=holds, applicable=bool(applicable))
 
 
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):

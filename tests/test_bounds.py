@@ -15,7 +15,7 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_L
 from factordescent import bounds, descent, stepsize
 from factordescent.descent import TERMINATED_DIVERGED, Trajectory
 
-from oracles import reference_reports
+from oracles import Report, reference_reports
 
 
 def make_instance(n=20, r=2, seed=0, safety=0.5):
@@ -259,6 +259,11 @@ class TestOptimalStep:
                           dist_sq=0.0, grad_norm_sq=3.0)
         assert check_optimal_step(ctx)
 
+    def test_returns_a_python_bool(self):
+        ctx = StepContext(eta_fixed=0.0, eta_local=0.02, m=2.0, sigma_r=1.0,
+                          dist_sq=0.5, grad_norm_sq=3.0)
+        assert type(check_optimal_step(ctx)) is bool
+
     def test_zero_gradient_without_floor_raises(self):
         # as eta_optimal does: with no floor, eta* is undefined at a zero gradient
         ctx = StepContext(eta_fixed=0.0, eta_local=0.02, m=2.0, sigma_r=1.0,
@@ -304,6 +309,19 @@ class TestTrajectoryReports:
         assert {CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY,
                 CHECK_DESCENT_QUADRATIC, CHECK_CONTRACTION_FIXED,
                 CHECK_CONTRACTION_ADAPTIVE, CHECK_OPTIMAL_STEP} <= names
+
+    def test_one_record_array_of_seven_fields(self):
+        problem = make_instance(n=25, r=2, seed=902)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=20)
+        reports = trajectory_reports(problem, traj)
+        assert isinstance(reports, np.recarray)
+        assert reports.dtype.names == ("k", "name", "lhs", "rhs", "slack", "holds", "applicable")
+        # row i is the columns at index i; tolist() gives its Python values
+        i = len(reports) // 2
+        assert reports[i].tolist() == tuple(reports[name].tolist()[i]
+                                            for name in reports.dtype.names)
+        assert [type(x) for x in reports[i].tolist()] == [int, str, float, float, float,
+                                                           bool, bool]
 
     def test_slack_sign_convention(self):
         problem = make_instance(n=25, r=2, seed=901)
@@ -356,7 +374,7 @@ class TestSinglePass:
         reports = trajectory_reports(problem, traj)
         for k in range(len(traj.records) - 1):
             step_context_at(problem, traj, k)
-        assert reports and calls == []
+        assert len(reports) and calls == []
         # the spies do see the evaluation of a point check
         check_regularity(problem, problem.u0)
         assert {"_evaluate", "eta_local"} <= set(calls)
@@ -428,9 +446,8 @@ class TestScalarReference:
         reports = trajectory_reports(problem, traj)
         reference = reference_reports(problem, traj)
         assert len(reports) == len(reference)
-        for got, want in zip(reports, reference):
-            for field in dataclasses.fields(want):
-                assert getattr(got, field.name) == getattr(want, field.name), (got, want)
+        for got, want in zip(reports.tolist(), reference):
+            assert got == tuple(want), (got, want)
         return reports
 
     def test_near_fixed_run(self):
@@ -471,7 +488,9 @@ class TestScalarReference:
     def test_empty_audit(self):
         problem = make_instance(seed=1104)
         empty = Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])
-        assert trajectory_reports(problem, empty) == reference_reports(problem, empty) == []
+        reports = trajectory_reports(problem, empty)
+        assert len(reports) == 0 and reports.dtype.names == Report._fields
+        assert reference_reports(problem, empty) == []
 
     def test_problem_without_ground_truth_is_rejected(self):
         # no audited run exists on a blind problem, so its checks have no sigma_r(X*)

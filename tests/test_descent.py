@@ -258,8 +258,10 @@ class TestInitFar:
         assert outside == 20
 
     def test_bad_scale(self):
-        with pytest.raises(ValueError):
-            init_far(np.eye(2), 0, scale=0.0)
+        # a scale that is not positive, or whose width 2 scale overflows
+        for scale in (0.0, -1.0, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                init_far(np.eye(2), 0, scale=scale)
 
     def test_zero_draw_is_redrawn(self):
         from factordescent.descent import _nonzero_uniform

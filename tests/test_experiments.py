@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from factordescent import (CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL,
                            ConfigError, ExperimentConfig, FactorDescentError,
-                           InequalityReport, IterateRecord, RunArtifact, Trajectory,
+                           IterateRecord, Objective, RunArtifact, Trajectory,
                            check_init_condition, export_csv, figure_configs,
                            generate_instance, policy_from_name, run_comparison,
                            write_plot_script)
@@ -32,6 +32,11 @@ def small_config(**overrides):
                 rel_tol=1e-8)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# the fields of a trajectory_reports row
+REPORT_DTYPE = [("k", int), ("name", "U32"), ("lhs", float), ("rhs", float),
+                ("slack", float), ("holds", bool), ("applicable", bool)]
 
 
 class TestConfigValidation:
@@ -175,6 +180,24 @@ class TestRunComparison:
         assert set(art.trajectories) == {"fgd", "adaptive-practical"}
         assert len(calls) == 1
 
+    def test_summary_counts_are_the_report_columns(self, monkeypatch):
+        # m = 20 overstates the contraction rates, so some applicable rows fail
+        monkeypatch.setattr(Objective, "m", 20.0)
+        art = run_comparison(ExperimentConfig(
+            n=20, r=2, seed=1, policies=("fgd", "adaptive-exact"), max_iters=30,
+            delta_rho=0.5, checks_enabled=True))
+        assert set(art.reports) == set(art.summary["checks"]) == {"fgd", "adaptive-exact"}
+        failures = 0
+        for label, reports in art.reports.items():
+            entry = art.summary["checks"][label]
+            assert entry == {
+                "total": len(reports),
+                "applicable": np.count_nonzero(reports.applicable),
+                "failures": np.count_nonzero(reports.applicable & ~reports.holds)}
+            assert all(type(count) is int for count in entry.values())
+            failures += entry["failures"]
+        assert failures > 0
+
     def test_duplicate_policy_labels(self):
         # each policy names its output file, so a repeat is rejected up front
         with pytest.raises(ValueError, match="distinct"):
@@ -225,8 +248,8 @@ class TestExportCsv:
 
         traj = Trajectory(records=[IterateRecord(k, *fields) for k, fields in
                                    enumerate(records)], terminated="max_iters")
-        rows = [InequalityReport(k, "regularity", *fields, holds=True, applicable=True)
-                for k, fields in enumerate(reports)]
+        rows = np.array([(k, "regularity", *fields, True, True) for k, fields in
+                         enumerate(reports)], dtype=REPORT_DTYPE).view(np.recarray)
         art = RunArtifact(config=small_config(policies=("fgd",)), problem=None,
                           trajectories={"fgd": traj}, reports={"fgd": rows})
         with tempfile.TemporaryDirectory() as out:

@@ -6,11 +6,13 @@ fast checks guard the contract here."""
 import dataclasses
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from factordescent import matrix_factorization
+from factordescent import (StepPolicy, init_near, make_problem, matrix_factorization, run,
+                           trajectory_reports)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +37,21 @@ def test_objective_callables_are_replaceable():
     replaced = dataclasses.replace(objective, value=lambda x: 0.0, grad=lambda x: x)
     assert replaced.value(u @ u.T) == 0.0
     np.testing.assert_array_equal(replaced.basis, objective.basis)
+
+
+def test_report_counters_read_the_check_result():
+    # bounds.reports and bounds.applicable are the length and the applicable
+    # column of trajectory_reports' result, read off a real audited run
+    u_star = np.random.default_rng(1).uniform(-1.0, 1.0, (12, 2))
+    objective = matrix_factorization(target_factor=u_star)
+    problem = make_problem(objective, init_near(u_star, 2, safety=0.5, kappa=objective.kappa),
+                           u_star=u_star)
+    traj = run(problem, StepPolicy.adaptive_exact(delta_rho=0.5), max_iters=20,
+               rel_tol=1e-12, audit=True)
+    result = trajectory_reports(problem, traj)
+    counts = Counter()
+    load_tracer()._count_reports(counts, (problem, traj), {}, result)
+    assert counts["applicable"] > 0
+    assert counts == {"reports": len(result),
+                      "applicable": np.count_nonzero(result.applicable),
+                      "audited_transitions": len(traj.records) - 1}
