@@ -73,6 +73,7 @@ _CHECKS = (CHECK_LOCAL_STEP_FLOOR, CHECK_REGULARITY, CHECK_DESCENT_QUADRATIC,
            CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_OPTIMAL_STEP)
 _TOL_ABS, _TOL_REL = np.array([[TOL_ABS] * 7 + [OPTIMAL_STEP_TOL], [TOL_REL] * 7 + [0.0]])
 _NAMES = np.array(_CHECKS)
+REPORT_FIELDS = ("k", "name", "lhs", "rhs", "slack", "holds", "applicable")
 
 
 def _regularity_lhs(eta_local, grad_norm_sq, m, sigma_r, dist_sq):
@@ -143,7 +144,7 @@ def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> np.recarray:
     slack = rhs - lhs
     holds = slack >= -(_TOL_ABS[checks] + _TOL_REL[checks] * np.abs(rhs))
     return np.rec.fromarrays([ks + k0, _NAMES[checks], lhs, rhs, slack, holds, applicable],
-                             names="k,name,lhs,rhs,slack,holds,applicable")
+                             names=REPORT_FIELDS)
 
 
 def _require_audit(problem: Problem, traj: Trajectory) -> None:

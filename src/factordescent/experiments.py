@@ -183,13 +183,10 @@ def _summarize(artifact: RunArtifact) -> dict:
         it = entry["iterations_to_tolerance"]
         ratios[f"fgd_over_{label}"] = (
             fgd / it if fgd is not None and it not in (None, 0) else None)
-    checks = {}
-    for label, reports in artifact.reports.items():
-        checks[label] = {
-            "total": len(reports),
-            "applicable": int(np.count_nonzero(reports.applicable)),
-            "failures": int(np.count_nonzero(reports.applicable & ~reports.holds)),
-        }
+    checks = {label: {"total": len(reports),
+                      "applicable": int(np.count_nonzero(reports.applicable)),
+                      "failures": int(np.count_nonzero(reports.applicable & ~reports.holds))}
+              for label, reports in artifact.reports.items()}
     return {
         "config": {
             "n": config.n,
@@ -239,8 +236,10 @@ def export_csv(artifact: RunArtifact, out_dir=None) -> list[Path]:
     if artifact.reports:
         rows = [CHECKS_HEADER] + [
             f"{k},{name},{lhs!r},{rhs!r},{slack!r},{_BOOL[holds]},{_BOOL[applicable]}"
-            for label in artifact.trajectories if label in artifact.reports
-            for k, name, lhs, rhs, slack, holds, applicable in artifact.reports[label].tolist()]
+            for rep in map(artifact.reports.get, artifact.trajectories) if rep is not None
+            for k, name, lhs, rhs, slack, holds, applicable in zip(
+                rep.k.tolist(), rep.name.tolist(), rep.lhs.tolist(), rep.rhs.tolist(),
+                rep.slack.tolist(), rep.holds.tolist(), rep.applicable.tolist())]
         path = out / "checks.csv"
         _write_text(path, "\n".join(rows) + "\n")
         written.append(path)

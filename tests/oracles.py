@@ -18,12 +18,13 @@ from factordescent.bounds import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_
                                   CHECK_CONTRACTION_EXACT_OPTIMAL, CHECK_CONTRACTION_FIXED,
                                   CHECK_DESCENT_QUADRATIC, CHECK_LOCAL_STEP_FLOOR,
                                   CHECK_OPTIMAL_STEP, CHECK_REGULARITY, GRID_POINTS,
-                                  OPTIMAL_STEP_TOL, RANDOM_DRAWS, TOL_ABS, TOL_REL)
+                                  OPTIMAL_STEP_TOL, RANDOM_DRAWS, REPORT_FIELDS, TOL_ABS,
+                                  TOL_REL)
 
 ROTATION_GRID_STEP = 1e-4
 
 # one reference report: the fields of a row of bounds.trajectory_reports
-Report = namedtuple("Report", "k name lhs rhs slack holds applicable")
+Report = namedtuple("Report", REPORT_FIELDS)
 
 
 def brute_force_dist(u, v, step=ROTATION_GRID_STEP):

@@ -15,7 +15,7 @@ from factordescent import (CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXAC
                            check_init_condition, export_csv, figure_configs,
                            generate_instance, policy_from_name, run_comparison,
                            write_plot_script)
-from factordescent.bounds import _CHECKS
+from factordescent.bounds import _CHECKS, REPORT_FIELDS
 from factordescent.experiments import CHECKS_HEADER, ITERATE_HEADER
 
 # any float but NaN, with extra weight on subnormals, signed zeros and the
@@ -32,11 +32,6 @@ def small_config(**overrides):
                 rel_tol=1e-8)
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-# the fields of a trajectory_reports row
-REPORT_DTYPE = [("k", int), ("name", "U32"), ("lhs", float), ("rhs", float),
-                ("slack", float), ("holds", bool), ("applicable", bool)]
 
 
 class TestConfigValidation:
@@ -248,8 +243,10 @@ class TestExportCsv:
 
         traj = Trajectory(records=[IterateRecord(k, *fields) for k, fields in
                                    enumerate(records)], terminated="max_iters")
-        rows = np.array([(k, "regularity", *fields, True, True) for k, fields in
-                         enumerate(reports)], dtype=REPORT_DTYPE).view(np.recarray)
+        n = len(reports)
+        rows = np.rec.fromarrays([np.arange(n), np.full(n, "regularity"),
+                                  *np.array(reports, dtype=float).reshape(n, 3).T,
+                                  np.ones(n, bool), np.ones(n, bool)], names=REPORT_FIELDS)
         art = RunArtifact(config=small_config(policies=("fgd",)), problem=None,
                           trajectories={"fgd": traj}, reports={"fgd": rows})
         with tempfile.TemporaryDirectory() as out:
