@@ -315,7 +315,7 @@ def _check_data(problem: Problem, point: _Evaluation) -> tuple[float, float, flo
     else 0.0. The checks read the rest off the iterate's record and the problem."""
     radius = problem._start_radius  # raises without a ground truth
     return (point.eta_local, stepsize._GRAD_FLOOR * point.scale,
-            float(np.sum(point.f.direction * point.error)), float(point.dist <= radius))
+            float((point.f.direction * point.error).sum()), float(point.dist <= radius))
 
 
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
+# LAPACK through numpy's gufuncs, without np.linalg's per-call wrapping
+from numpy.linalg._umath_linalg import (qr_r_raw as _qr_r_raw, svd as _svd_values,
+                                        svd_f as _svd_full, svd_s as _svd_thin)
 
 from .errors import InvalidMatrixError, ShapeMismatchError, ZeroMatrixError
 
@@ -83,17 +85,25 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine from scipy, raising on a nonzero info code."""
-    *out, info = routine(*args, **kwargs)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
+def _packed_qr(a: np.ndarray) -> np.ndarray:
+    """dgeqrf's packed QR of a, factored in place on an F-ordered copy."""
+    packed = a.copy(order="F")
+    _qr_r_raw(packed)
+    return packed
+
+
+def _lapack(svd, a: np.ndarray):
+    """dgesdd on a through _svd_full, _svd_thin or _svd_values (singular values
+    alone), raising LinAlgError on failure, which fills the output with NaN."""
+    out = svd(a)
+    if math.isnan((out if svd is _svd_values else out[1])[0]):
+        raise np.linalg.LinAlgError(f"{svd.__name__} did not converge")
     return out
 
 
 def _procrustes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """procrustes_align for two finite factors of one shape (not validated)."""
-    p, _, qt = _lapack(dgesdd, v.T @ u)
+    p, _, qt = _lapack(_svd_full, v.T @ u)
     return p @ qt
 
 

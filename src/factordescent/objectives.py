@@ -21,7 +21,8 @@ evaluated on n x r and small square arrays only. With the QR factorization
     ||grad f(X) P_U||_2 = 2 ||C W||_2    (W: left singular vectors of R1).
 
 Q is never formed: Q C R1 = [U, V] D R^T R1 with D = diag(1, ..., 1, -s).
-The three spectral norms are computed on first use.
+The three spectral norms are computed on first use. The QR and the SVDs are
+numpy's LAPACK gufuncs, called through geometry._packed_qr and _lapack.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd
 
 from .errors import InvalidMatrixError, ZeroMatrixError
-from .geometry import _lapack, _positive_tol, as_factor, as_matrix, require_same_shape
+from .geometry import (_lapack, _packed_qr, _positive_tol, _svd_thin, _svd_values, as_factor,
+                       as_matrix, require_same_shape)
 
 
 def mf_value(a, x) -> float:
@@ -70,7 +71,7 @@ class FactoredEvaluation:
         n, r = u.shape
         stacked = np.concatenate((u, basis), axis=1)
         rows = min(n, stacked.shape[1])
-        rr = _lapack(dgeqrf, stacked)[0][:rows] * _upper(rows, stacked.shape[1])
+        rr = _packed_qr(stacked)[:rows] * _upper(rows, stacked.shape[1])
         rd = rr.copy()  # R D
         rd[:, r:] *= -weights
         self.shape = u.shape
@@ -83,8 +84,7 @@ class FactoredEvaluation:
 
     @cached_property
     def _r1_svd(self):
-        left, sigma, _ = _lapack(dgesdd, self.r1, full_matrices=0)
-        return left, sigma
+        return _lapack(_svd_thin, self.r1)[:2]  # left singular vectors, sigma
 
     @property
     def x_norm(self) -> float:
@@ -106,7 +106,7 @@ class FactoredEvaluation:
         if rank == 0:
             raise ZeroMatrixError("the zero matrix has no column space basis")
         # sigma is descending, so the kept singular vectors lead
-        return 2.0 * float(_lapack(dgesdd, self.core @ left[:, :rank], compute_uv=0)[1][0])
+        return 2.0 * float(_lapack(_svd_values, self.core @ left[:, :rank])[0])
 
 
 @dataclass(frozen=True, eq=False)  # numpy fields: compare and hash by identity

@@ -4,7 +4,8 @@ import pytest
 from factordescent import (ShapeMismatchError, ZeroMatrixError, dist,
                            matrix_factorization, procrustes_align,
                            sigma_min_positive, spectral_norm)
-from factordescent.geometry import _procrustes
+from factordescent.geometry import (_lapack, _packed_qr, _procrustes, _svd_full, _svd_thin,
+                                    _svd_values)
 
 from oracles import brute_force_dist, random_orthonormal
 
@@ -203,3 +204,29 @@ class TestDist:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             dist(np.ones((3, 1)), np.ones((3, 2)))
+
+
+class TestLapackGufuncs:
+    """The engine calls numpy's LAPACK gufuncs directly; each helper must give
+    the bits of its public np.linalg counterpart on the engine's shapes."""
+
+    @pytest.mark.parametrize("n, r, rank", [(8, 3, 3), (3, 2, 2), (8, 3, 2), (5, 1, 1)])
+    def test_equal_to_the_public_api(self, n, r, rank):
+        rng = np.random.default_rng(n + 10 * r + 100 * rank)
+        u = rng.standard_normal((n, r))
+        u[:, rank:] = u[:, :1]  # rank-deficient U when rank < r
+        v = rng.standard_normal((n, r))
+        stacked = np.concatenate((u, v), axis=1)
+        packed = _packed_qr(stacked)
+        assert np.array_equal(np.triu(packed[:min(n, 2 * r)]), np.linalg.qr(stacked, mode="r"))
+        point = matrix_factorization(target_factor=v).evaluate(u)
+        for m in (v.T @ u, point.r1, point.core):
+            for helper, public in ((_svd_full, np.linalg.svd(m)),
+                                   (_svd_thin, np.linalg.svd(m, full_matrices=False))):
+                assert all(map(np.array_equal, _lapack(helper, m), public))
+            assert np.array_equal(_lapack(_svd_values, m), np.linalg.svd(m, compute_uv=False))
+
+    @pytest.mark.parametrize("helper", [_svd_full, _svd_thin, _svd_values])
+    def test_failed_svd_raises(self, helper):
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _lapack(helper, np.full((2, 2), np.nan))
