@@ -37,8 +37,7 @@ else:
     fig, axes = plt.subplots(1, 2, figsize=(10, 4), sharey=True)
     for ax, (kind, artifact) in zip(axes, results.items()):
         for label, traj in artifact.trajectories.items():
-            ax.semilogy([rec.k for rec in traj.records],
-                        [rec.rel_error for rec in traj.records], label=label)
+            ax.semilogy(traj.records.k, traj.records.rel_error, label=label)
         ax.set_title(f"{kind} start (n=300, r=2)")
         ax.set_xlabel("iteration")
         ax.legend()

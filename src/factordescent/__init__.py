@@ -22,7 +22,7 @@ from .objectives import Objective, matrix_factorization, mf_grad, mf_value
 from .stepsize import (ADAPTIVE_EXACT, ADAPTIVE_PRACTICAL, FIXED_FGD,
                        StepContext, StepPolicy, eta_estimated, eta_fixed,
                        eta_local, eta_optimal, eta_practical)
-from .descent import (InitCheck, IterateRecord, Problem, RunState, Trajectory,
+from .descent import (InitCheck, Problem, RunState, Trajectory,
                       TERMINATED_DIVERGED, TERMINATED_MAX_ITERS,
                       TERMINATED_STATIONARY, TERMINATED_TOLERANCE,
                       check_init_condition, init_far, init_near, make_problem,
@@ -49,7 +49,7 @@ __all__ = [
     "FIXED_FGD", "ADAPTIVE_EXACT", "ADAPTIVE_PRACTICAL",
     "StepPolicy", "StepContext", "eta_fixed", "eta_local", "eta_optimal",
     "eta_estimated", "eta_practical",
-    "Problem", "make_problem", "IterateRecord", "Trajectory", "InitCheck",
+    "Problem", "make_problem", "Trajectory", "InitCheck",
     "RunState", "prepare", "step", "run", "start_radius",
     "check_init_condition", "init_near", "init_far",
     "TERMINATED_TOLERANCE", "TERMINATED_MAX_ITERS", "TERMINATED_STATIONARY",

@@ -26,17 +26,16 @@ per transition (quadratic bound at the step taken, the four contraction
 factors, and the optimal-step audit: the quadratic bound at eta* is no
 larger than its minimum over a sample of steps in [0, 2 eta*]).
 
-One function evaluates all eight as arrays over a table with a row per
-iterate: the step taken, D2 and ||grad f(X) U||_F^2 off the record, then the
-four floats of ``descent._check_data``, which an audited run (``run(...,
-audit=True)``) keeps from the very evaluation its step rule used, so the
+One function evaluates all eight as arrays over seven columns with a row per
+iterate: the step taken, D2, ||grad f(X) U||_F^2 and the four
+``descent.AUDIT_FIELDS``, all in the table of an audited run (``run(...,
+audit=True)``), from the very evaluation its step rule used, so the
 trajectory checks evaluate nothing; eta0, m and sigma_r(X*) are the
 problem's. Transition k runs from row k to row k + 1, and eta* is one
-column. The result is one numpy record array with a row (k, name, lhs, rhs,
+column. The result is one ``descent.Table`` with a row (k, name, lhs, rhs,
 slack, holds, applicable) per check and iterate, in (k, check) order; the
-check of transition k is the row (k, CHECK_*). Index it for a row of numpy
-scalars or read a field as a column; it has no truth value, so test it with
-len(), and .tolist() gives Python values. The point checks return one row.
+check of transition k is the row (k, CHECK_*). It has no truth value, so
+test it with len(). The point checks return one such row.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import stepsize
-from .descent import Problem, Trajectory, _check_data, _evaluate
+from .descent import AUDIT_FIELDS, Problem, Table, Trajectory, _check_data, _evaluate
 from .geometry import as_factor
 from .stepsize import StepContext
 
@@ -97,23 +96,21 @@ def _step_sample(eta_opt, seed) -> np.ndarray:
     return np.concatenate([np.linspace(0.0, top, GRID_POINTS, axis=-1), draws], axis=-1)
 
 
-def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> np.recarray:
-    """Every check over the table rows k0, k0 + 1, ..., in (k, check) order.
-    A row is (step taken, D2, ||grad f(X) U||_F^2, eta_local, gradient floor,
-    correlation, radius flag). The point checks run at every row; the
-    transition checks at every row but the last. The contraction hypotheses
-    are those in the module docstring; the optimal-step audit needs no
-    radius, only a gradient above its floor."""
-    n_rows, n_steps = len(table), max(len(table) - 1, 0)
-    columns = np.array(table, dtype=float).reshape(n_rows, 7)
-    _, dist_sq, grad_sq, local, _, correlation, inside = columns.T
+def _reports(eta0, m, sigma_r, columns, k0: int = 0, seed=0) -> Table:
+    """Every check over the rows k0, k0 + 1, ... of the seven columns (step
+    taken, D2, ||grad f(X) U||_F^2, then AUDIT_FIELDS), in (k, check) order.
+    The point checks run at every row; the transition checks at every row but
+    the last. The contraction hypotheses are those in the module docstring;
+    the optimal-step audit needs no radius, only a gradient above its floor."""
+    _, dist_sq, grad_sq, local, _, correlation, inside = columns
+    n_rows, n_steps = len(dist_sq), max(len(dist_sq) - 1, 0)
     lhs, rhs = np.zeros((2, n_rows, len(_CHECKS)))
     applicable = np.repeat(inside[:, None] > 0.0, len(_CHECKS), axis=1)
     lhs[:, 0], rhs[:, 0] = (5.0 / 6.0) * eta0, local
     lhs[:, 1], rhs[:, 1] = _regularity_lhs(local, grad_sq, m, sigma_r, dist_sq), correlation
 
     # the transition rows, as columns of shape (n_steps, 1)
-    eta, dist_sq, grad_sq, local, floor = columns[:n_steps, :5].T[..., None]
+    eta, dist_sq, grad_sq, local, floor = (column[:n_steps, None] for column in columns[:5])
     # eta_optimal's eta*: 0.8 eta_local at or below the floor, where the quotient is dropped
     with np.errstate(divide="ignore", invalid="ignore"):
         eta_opt = np.where(grad_sq > floor,
@@ -126,7 +123,7 @@ def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> np.recarray:
     bound = dist_sq_upper_bound(np.hstack([eta, eta_opt, _step_sample(eta_opt[:, 0], seed)]),
                                 dist_sq=dist_sq, grad_norm_sq=grad_sq, eta_local=local, m=m,
                                 sigma_r=sigma_r)
-    lhs[:n_steps, 2:] = columns[1:, 1:2]  # the next squared distance
+    lhs[:n_steps, 2:] = columns[1][1:, None]  # the next squared distance
     lhs[:n_steps, 7] = bound[:, 1]
     rhs[:n_steps, 2:] = np.hstack([
         bound[:, :1], (1.0 - 0.3 * m * eta0 * sigma_r) * dist_sq,
@@ -144,29 +141,29 @@ def _reports(eta0, m, sigma_r, table, k0: int = 0, seed=0) -> np.recarray:
     slack = rhs - lhs
     holds = slack >= -(_TOL_ABS[checks] + _TOL_REL[checks] * np.abs(rhs))
     return np.rec.fromarrays([ks + k0, _NAMES[checks], lhs, rhs, slack, holds, applicable],
-                             names=REPORT_FIELDS)
+                             names=REPORT_FIELDS).view(Table)
 
 
 def _require_audit(problem: Problem, traj: Trajectory) -> None:
-    if traj.audit is None:
+    if traj.records.dtype.names[-len(AUDIT_FIELDS):] != AUDIT_FIELDS:
         raise ValueError("trajectory has no audit data; rerun with audit=True")
     problem._start_radius  # raises without a ground truth, as an audited run does
 
 
-def _point_report(problem: Problem, u, k: int, name: str) -> np.record:
+def _point_report(problem: Problem, u, k: int, name: str):
     point = _evaluate(problem, as_factor(u))
     row = (0.0, point.dist_sq, point.f.grad_norm_sq, *_check_data(problem, point))
-    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar, [row],
-                    k0=k)[_CHECKS.index(name)]
+    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar,
+                    np.array([row]).T, k0=k)[_CHECKS.index(name)]
 
 
-def check_local_step_floor(problem: Problem, u, k: int = 0) -> np.record:
+def check_local_step_floor(problem: Problem, u, k: int = 0):
     """The local step at the iterate is at least 5/6 of the anchored fixed
     step. Applicable only inside the start radius."""
     return _point_report(problem, u, k, CHECK_LOCAL_STEP_FLOOR)
 
 
-def check_regularity(problem: Problem, u, k: int = 0) -> np.record:
+def check_regularity(problem: Problem, u, k: int = 0):
     """The descent direction correlates with the aligned error at least as
     strongly as the weighted sum of gradient energy and squared distance:
 
@@ -182,24 +179,25 @@ def check_optimal_step(ctx: StepContext, seed=0) -> bool:
     ZeroGradientError at a zero gradient with no floor."""
     stepsize.eta_optimal(ctx)  # for its ZeroGradientError
     row = (0.0, ctx.dist_sq, ctx.grad_norm_sq, ctx.eta_local, ctx.grad_floor, 0.0, 0.0)
-    return _reports(ctx.eta_fixed, ctx.m, ctx.sigma_r, [row, row],  # a transition from row 0
+    return _reports(ctx.eta_fixed, ctx.m, ctx.sigma_r, np.array([row, row]).T,  # from row 0
                     seed=seed).holds.tolist()[_CHECKS.index(CHECK_OPTIMAL_STEP)]
 
 
 def step_context_at(problem: Problem, traj: Trajectory, k: int) -> StepContext:
     """The step context at a recorded iterate (true distance, no estimation
-    error), read off its record, its audit row and the problem, e.g. to
-    audit the optimal-step property."""
+    error), read off its row and the problem, e.g. to audit the
+    optimal-step property."""
     _require_audit(problem, traj)
-    rec, (local, floor, _, _) = traj.records[k], traj.audit[k]
-    return StepContext(eta_fixed=problem._anchor[0], eta_local=local, m=problem.objective.m,
-                       sigma_r=problem.sigma_r_xstar, dist_sq=rec.dist_sq,
-                       grad_norm_sq=rec.grad_norm_sq, grad_floor=floor)
+    rec = traj.records[k]
+    return StepContext(eta_fixed=problem._anchor[0], eta_local=rec.eta_local,
+                       m=problem.objective.m, sigma_r=problem.sigma_r_xstar,
+                       dist_sq=rec.dist_sq, grad_norm_sq=rec.grad_norm_sq,
+                       grad_floor=rec.grad_floor)
 
 
-def trajectory_reports(problem: Problem, traj: Trajectory) -> np.recarray:
-    """Every check at every recorded iterate of a trajectory, as one record
-    array (see the module docstring).
+def trajectory_reports(problem: Problem, traj: Trajectory) -> Table:
+    """Every check at every recorded iterate of a trajectory, as one Table
+    (see the module docstring).
 
     Point checks (step floor, regularity) run at each iterate; transition
     checks (quadratic bound, all four contraction factors, optimal step) at
@@ -208,6 +206,6 @@ def trajectory_reports(problem: Problem, traj: Trajectory) -> np.recarray:
     on problem; nothing is evaluated again.
     """
     _require_audit(problem, traj)
-    table = [(rec.eta, rec.dist_sq, rec.grad_norm_sq, *row)
-             for rec, row in zip(traj.records, traj.audit, strict=True)]
-    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar, table)
+    rec = traj.records
+    return _reports(problem._anchor[0], problem.objective.m, problem.sigma_r_xstar,
+                    (rec.eta, rec.dist_sq, rec.grad_norm_sq, *(rec[name] for name in AUDIT_FIELDS)))

@@ -7,18 +7,19 @@ The update is
 
 with eta_k chosen by a StepPolicy: the anchored fixed step, the exact
 per-iteration optimal step (optionally with synthetic distance-estimation
-noise), or the practical variant. A run records one IterateRecord per
+noise), or the practical variant. A run returns one Table with a row per
 iterate, including the final one, whose eta is the step that would have been
-taken next. An audited run also keeps, per iterate, the four numbers the
-checks in ``bounds`` read beside the record, taken from the same evaluation
-the step rule used.
+taken next: the columns RECORD_FIELDS (dist_sq is NaN without a ground
+truth), then, for an audited run, the AUDIT_FIELDS only the checks in
+``bounds`` read, from the same evaluation the step rule used.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -97,46 +98,45 @@ def make_problem(objective: Objective, u0, u_star=None) -> Problem:
     return Problem(objective, u0, u_star)
 
 
-@dataclass(frozen=True)
-class IterateRecord:
-    """Snapshot of one iterate: objective value, relative error, squared
-    distance to the ground truth (None when unknown), the step used for the
-    outgoing transition, squared gradient norm, the injected estimation
-    error, and whether the gradient norm is below the stop floor."""
+RECORD_FIELDS = ("k", "g_value", "rel_error", "dist_sq", "eta", "grad_norm_sq", "delta",
+                 "stationary")
+AUDIT_FIELDS = ("eta_local", "grad_floor", "correlation", "inside")
+_row_type = cache(partial(namedtuple, "Row"))  # one row class per tuple of field names
+_ROW = {False: _row_type(RECORD_FIELDS), True: _row_type(RECORD_FIELDS + AUDIT_FIELDS)}
 
-    k: int
-    g_value: float
-    rel_error: float
-    dist_sq: float | None
-    eta: float
-    grad_norm_sq: float
-    delta: float
-    stationary: bool = False
+
+class Table(np.recarray):
+    """A numpy record array whose rows, when iterated or indexed by an int,
+    are namedtuples built from the columns' .tolist(); a field reads as a
+    column, and a slice or a boolean mask is a Table again."""
+
+    def __iter__(self):
+        names = self.dtype.names
+        return map(_row_type(names), *(self[name].tolist() for name in names))
+
+    def __getitem__(self, index):
+        got = super().__getitem__(index)
+        return _row_type(self.dtype.names)(*got.item()) if isinstance(got, np.void) else got
 
 
 @dataclass
 class Trajectory:
-    """All records of a run plus the termination reason; when the run was
-    audited, audit holds, per recorded iterate, the four floats of
-    ``_check_data`` that the checks read beside the record."""
+    """The run's table (see the module docstring) and why it terminated."""
 
-    records: list[IterateRecord]
+    records: Table
     terminated: str
-    audit: list[tuple[float, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.records)
 
     @property
-    def final(self) -> IterateRecord:
+    def final(self):
         return self.records[-1]
 
     def iterations_to(self, rel_tol: float):
         """First k with rel_error <= rel_tol, or None if never reached."""
-        for rec in self.records:
-            if rec.rel_error <= rel_tol:
-                return rec.k
-        return None
+        hits = self.records.k[self.records.rel_error <= rel_tol]
+        return int(hits[0]) if len(hits) else None
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,13 @@ class _Evaluation:
     """One iterate U: the objective's evaluation f at U (g, the direction
     grad f(X) U, its squared norm and the spectral norms on demand), the
     gradient scale max(1, ||U||_F)^4 and, with a ground truth, the aligned
-    error U - U* R and dist(U, U*)."""
+    error U - U* R and dist(U, U*); dist_sq is NaN without one."""
 
     f: FactoredEvaluation
     scale: float
     error: np.ndarray | None
     dist: float | None
-    dist_sq: float | None
+    dist_sq: float
 
     @cached_property
     def eta_local(self) -> float:
@@ -301,7 +301,7 @@ def _evaluate(problem: Problem, u: np.ndarray, k: int = 0) -> _Evaluation:
     if not (math.isfinite(f.g) and np.isfinite(f.direction).all()):
         raise NumericalBlowupError(f"objective or direction not finite at iteration {k}")
     scale = stepsize._gradient_scale(f.r1)  # ||R1||_F = ||U||_F
-    error = distance = dist_sq = None
+    error, distance, dist_sq = None, None, math.nan
     if problem.u_star is not None:
         error = u - problem.u_star @ _procrustes(u, problem.u_star)
         distance = _frobenius(error)
@@ -309,13 +309,13 @@ def _evaluate(problem: Problem, u: np.ndarray, k: int = 0) -> _Evaluation:
     return _Evaluation(f=f, scale=scale, error=error, dist=distance, dist_sq=dist_sq)
 
 
-def _check_data(problem: Problem, point: _Evaluation) -> tuple[float, float, float, float]:
-    """The four floats only the audit computes at an evaluated iterate: eta_local,
-    the gradient floor, <grad f(X) U, U - U* R>, and 1.0 inside the start radius,
-    else 0.0. The checks read the rest off the iterate's record and the problem."""
+def _check_data(problem: Problem, point: _Evaluation) -> tuple[float, float, float, bool]:
+    """AUDIT_FIELDS, what only the audit computes at an evaluated iterate:
+    eta_local, the gradient floor, <grad f(X) U, U - U* R>, and whether U lies
+    inside the start radius. The checks read the rest off the row and the problem."""
     radius = problem._start_radius  # raises without a ground truth
     return (point.eta_local, stepsize._GRAD_FLOOR * point.scale,
-            float((point.f.direction * point.error).sum()), float(point.dist <= radius))
+            float((point.f.direction * point.error).sum()), bool(point.dist <= radius))
 
 
 def prepare(problem: Problem, policy: StepPolicy) -> RunState:
@@ -334,14 +334,14 @@ def prepare(problem: Problem, policy: StepPolicy) -> RunState:
 
 
 def step(u, policy: StepPolicy, problem: Problem, *,
-         state: RunState | None = None, k: int = 0, delta_rng=None, audit=None):
+         state: RunState | None = None, k: int = 0, delta_rng=None, audit: bool = False):
     """One update U - eta * grad f(U U^T) @ U under the given policy.
 
-    Returns (next factor, record of the current iterate). state carries the
-    run-level constants; passing None recomputes them from the problem.
-    When audit is a list, the current iterate's ``_check_data`` is appended
-    to it once the update is known to be finite. Raises NumericalBlowupError
-    when the iterate or the update is not finite.
+    Returns (next factor, record of the current iterate), the record being
+    the run table's row: RECORD_FIELDS, then AUDIT_FIELDS when audit is true.
+    state carries the run-level constants; passing None recomputes them from
+    the problem. Raises NumericalBlowupError when the iterate or the update
+    is not finite.
     """
     u = as_factor(u)
     if state is None:
@@ -366,18 +366,16 @@ def step(u, policy: StepPolicy, problem: Problem, *,
         rel = g / state.g0
     else:
         rel = 1.0 if g == state.g0 else float("inf")
-    record = IterateRecord(k=int(k), g_value=g, rel_error=float(rel),
-                           dist_sq=point.dist_sq, eta=float(eta_k),
-                           grad_norm_sq=point.f.grad_norm_sq, delta=float(delta),
-                           stationary=point.f.grad_norm_sq < _STOP_FLOOR * point.scale)
 
     with np.errstate(over="ignore", invalid="ignore"):
         u_next = u - eta_k * point.f.direction
     if not np.isfinite(u_next).all():
         raise NumericalBlowupError(f"non-finite update at iteration {k}")
-    if audit is not None:
-        audit.append(_check_data(problem, point))
-    return u_next, record
+    record = (int(k), g, float(rel), point.dist_sq, float(eta_k), point.f.grad_norm_sq,
+              float(delta), point.f.grad_norm_sq < _STOP_FLOOR * point.scale)
+    if audit:
+        record += _check_data(problem, point)
+    return u_next, _ROW[audit](*record)
 
 
 def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
@@ -387,8 +385,8 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
 
     delta_seed feeds the synthetic distance-estimation noise when the policy
     requests it; identical seeds and configuration reproduce the trajectory
-    exactly. audit=True keeps the check data of every recorded iterate in
-    Trajectory.audit (needs the ground truth)."""
+    exactly. audit=True adds the AUDIT_FIELDS columns to the table (needs the
+    ground truth)."""
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not rel_tol > 0.0:  # also rejects NaN
@@ -396,13 +394,12 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
     state = prepare(problem, policy)
     delta_rng = np.random.default_rng(delta_seed)
     u = np.array(problem.u0, dtype=float)
-    records: list[IterateRecord] = []
-    entries: list | None = [] if audit else None
+    records = []
     terminated = TERMINATED_MAX_ITERS
     for k in range(max_iters + 1):
         try:
             u_next, record = step(u, policy, problem, state=state, k=k, delta_rng=delta_rng,
-                                  audit=entries)
+                                  audit=audit)
         except NumericalBlowupError:
             if not records:
                 raise
@@ -416,4 +413,6 @@ def run(problem: Problem, policy: StepPolicy, max_iters: int = 1000,
             terminated = TERMINATED_STATIONARY
             break
         u = u_next
-    return Trajectory(records=records, terminated=terminated, audit=entries)
+    # the rows' Python values set the columns' types: int64 k, bool flags, floats
+    table = np.rec.fromarrays(list(zip(*records)), names=records[0]._fields).view(Table)
+    return Trajectory(records=table, terminated=terminated)

@@ -167,14 +167,10 @@ def run_comparison(config: ExperimentConfig) -> RunArtifact:
 
 def _summarize(artifact: RunArtifact) -> dict:
     config = artifact.config
-    policies = {}
-    for label, traj in artifact.trajectories.items():
-        policies[label] = {
-            "iterations_to_tolerance": traj.iterations_to(config.rel_tol),
-            "iterations_run": traj.final.k,
-            "terminated": traj.terminated,
-            "final_rel_error": traj.final.rel_error,
-        }
+    policies = {label: {"iterations_to_tolerance": traj.iterations_to(config.rel_tol),
+                        "iterations_run": traj.final.k, "terminated": traj.terminated,
+                        "final_rel_error": traj.final.rel_error}
+                for label, traj in artifact.trajectories.items()}
     ratios = {}
     fgd = policies.get(FIXED_FGD, {}).get("iterations_to_tolerance")
     for label, entry in policies.items():
@@ -209,13 +205,6 @@ def _summarize(artifact: RunArtifact) -> dict:
 _BOOL = {True: "true", False: "false"}
 
 
-def _iterate_rows(traj: Trajectory):
-    for rec in traj.records:
-        dist_sq = "" if rec.dist_sq is None else repr(rec.dist_sq)
-        yield (f"{rec.k},{rec.g_value!r},{rec.rel_error!r},{dist_sq},{rec.eta!r},"
-               f"{rec.grad_norm_sq!r},{rec.delta!r}")
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -230,8 +219,13 @@ def export_csv(artifact: RunArtifact, out_dir=None) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for label, traj in artifact.trajectories.items():
-        path = out / f"{label}.csv"
-        _write_text(path, "\n".join([ITERATE_HEADER, *_iterate_rows(traj)]) + "\n")
+        rec, path = traj.records, out / f"{label}.csv"
+        rows = [ITERATE_HEADER] + [  # a NaN distance (no ground truth) is the empty field
+            f"{k},{g!r},{rel!r},{'' if math.isnan(dist) else repr(dist)},{eta!r},{grad!r},{delta!r}"
+            for k, g, rel, dist, eta, grad, delta in zip(
+                rec.k.tolist(), rec.g_value.tolist(), rec.rel_error.tolist(), rec.dist_sq.tolist(),
+                rec.eta.tolist(), rec.grad_norm_sq.tolist(), rec.delta.tolist())]
+        _write_text(path, "\n".join(rows) + "\n")
         written.append(path)
     if artifact.reports:
         rows = [CHECKS_HEADER] + [
@@ -249,9 +243,12 @@ def export_csv(artifact: RunArtifact, out_dir=None) -> list[Path]:
     return written
 
 
-def write_plot_script(out_dir, labels, title: str = "") -> Path:
+def write_plot_script(out_dir, labels, title: str = "") -> Path | None:
     """Emit a gnuplot template plotting relative error against iteration for
-    each policy CSV in the directory."""
+    each policy CSV in the directory; with no label (every policy failed) it
+    writes nothing, since gnuplot rejects a plot of no curve, and returns None."""
+    if not labels:
+        return None
     out = Path(out_dir)
     curves = ", ".join(
         f'"{label}.csv" using 1:3 with lines title "{label}"' for label in labels)

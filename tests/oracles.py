@@ -172,15 +172,14 @@ def _reports(k, ctx, correlation, inside, transition=None):
 
 def reference_reports(problem, traj):
     """Every report of an audited trajectory on problem, built iterate by
-    iterate from the record, the audit row and the problem's constants: the
-    reference that bounds.trajectory_reports must equal row for row."""
+    iterate from its row and the problem's constants: the reference that
+    bounds.trajectory_reports must equal row for row."""
     reports = []
-    eta0, last = prepare(problem, StepPolicy.fixed()).eta0, len(traj.records) - 1
-    for k, (rec, row) in enumerate(zip(traj.records, traj.audit, strict=True)):
-        local, floor, correlation, inside = row
-        ctx = StepContext(eta_fixed=eta0, eta_local=local, m=problem.objective.m,
+    eta0, rows = prepare(problem, StepPolicy.fixed()).eta0, list(traj.records)
+    for k, rec in enumerate(rows):
+        ctx = StepContext(eta_fixed=eta0, eta_local=rec.eta_local, m=problem.objective.m,
                           sigma_r=problem.sigma_r_xstar, dist_sq=rec.dist_sq,
-                          grad_norm_sq=rec.grad_norm_sq, grad_floor=floor)
-        transition = None if k == last else (rec.eta, traj.records[k + 1].dist_sq)
-        reports += _reports(k, ctx, correlation, inside, transition)
+                          grad_norm_sq=rec.grad_norm_sq, grad_floor=rec.grad_floor)
+        transition = None if k == len(rows) - 1 else (rec.eta, rows[k + 1].dist_sq)
+        reports += _reports(k, ctx, rec.correlation, rec.inside, transition)
     return reports

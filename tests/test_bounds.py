@@ -13,7 +13,8 @@ from factordescent import (CHECK_CONTRACTION_ADAPTIVE, CHECK_CONTRACTION_EXACT_L
                            matrix_factorization, prepare, run, step, step_context_at,
                            trajectory_reports)
 from factordescent import bounds, descent, stepsize
-from factordescent.descent import TERMINATED_DIVERGED, Trajectory
+from factordescent.bounds import REPORT_FIELDS
+from factordescent.descent import RECORD_FIELDS, TERMINATED_DIVERGED, Table, Trajectory
 
 from oracles import Report, reference_reports
 
@@ -237,8 +238,8 @@ class TestContraction:
         problem = make_instance(n=25, r=2, seed=703)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=3, rel_tol=1e-15)
         assert rows_of(problem, traj)[0, CHECK_CONTRACTION_FIXED].applicable
-        records = list(traj.records)
-        records[0] = dataclasses.replace(records[0], eta=7.0 * records[0].eta)
+        records = traj.records.copy()
+        records.eta[0] *= 7.0
         scaled = dataclasses.replace(traj, records=records)
         assert not rows_of(problem, scaled)[0, CHECK_CONTRACTION_FIXED].applicable
 
@@ -314,14 +315,17 @@ class TestTrajectoryReports:
         problem = make_instance(n=25, r=2, seed=902)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=20)
         reports = trajectory_reports(problem, traj)
-        assert isinstance(reports, np.recarray)
+        assert isinstance(reports, Table)
         assert reports.dtype.names == ("k", "name", "lhs", "rhs", "slack", "holds", "applicable")
-        # row i is the columns at index i; tolist() gives its Python values
+        # row i is the columns at index i, in Python values
         i = len(reports) // 2
-        assert reports[i].tolist() == tuple(reports[name].tolist()[i]
-                                            for name in reports.dtype.names)
-        assert [type(x) for x in reports[i].tolist()] == [int, str, float, float, float,
-                                                           bool, bool]
+        assert reports[i] == tuple(reports[name].tolist()[i] for name in reports.dtype.names)
+        assert [type(x) for x in reports[i]] == [int, str, float, float, float, bool, bool]
+        # a boolean mask or a slice keeps the class and its rows
+        applicable = reports[reports.applicable]
+        assert type(applicable) is type(reports[1:]) is Table
+        assert list(applicable) == [rep for rep in reports if rep.applicable]
+        assert list(reports[1:]) == list(reports)[1:]
 
     def test_slack_sign_convention(self):
         problem = make_instance(n=25, r=2, seed=901)
@@ -393,9 +397,8 @@ class TestSinglePass:
         problem = make_instance(n=25, r=3, seed=1001)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=5, rel_tol=1e-15)
         k = 2
-        records = list(traj.records)
-        records[k + 1] = dataclasses.replace(records[k + 1],
-                                             dist_sq=2.0 * records[k].dist_sq)
+        records = traj.records.copy()
+        records.dist_sq[k + 1] = 2.0 * records.dist_sq[k]
         corrupted = dataclasses.replace(traj, records=records)
         rows, original = rows_of(problem, corrupted), rows_of(problem, traj)
         for name in (CHECK_CONTRACTION_FIXED, CHECK_DESCENT_QUADRATIC):
@@ -403,22 +406,21 @@ class TestSinglePass:
             # the original trajectory passes the same checks
             assert original[k, name].holds
 
-    @pytest.mark.parametrize("cut", ["audit", "records"])
-    def test_mismatched_trajectory_is_rejected(self, cut):
+    def test_unaudited_trajectory_is_rejected(self):
         problem = make_instance(n=25, r=3, seed=1005)
-        traj = near_run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-15)
-        assert len(traj.records) == len(traj.audit) == 31
-        short = dataclasses.replace(traj, **{cut: getattr(traj, cut)[:-1]})
-        with pytest.raises(ValueError):
-            trajectory_reports(problem, short)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-15, audit=False)
+        assert traj.records.dtype.names == RECORD_FIELDS
+        for check in (trajectory_reports, lambda *args: step_context_at(*args, 0)):
+            with pytest.raises(ValueError, match="no audit data; rerun with audit=True"):
+                check(problem, traj)
 
     def test_record_distance_feeds_the_point_checks(self):
         # the checks read D2 off the record: replacing it moves row k's regularity lhs
         problem = make_instance(n=25, r=3, seed=1006)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=5, rel_tol=1e-15)
         k = 2
-        records = list(traj.records)
-        records[k] = dataclasses.replace(records[k], dist_sq=4.0 * records[k].dist_sq)
+        records = traj.records.copy()
+        records.dist_sq[k] *= 4.0
         moved = rows_of(problem, dataclasses.replace(traj, records=records))
         original = rows_of(problem, traj)
         m, sigma_r = problem.objective.m, problem.sigma_r_xstar
@@ -446,8 +448,10 @@ class TestScalarReference:
         reports = trajectory_reports(problem, traj)
         reference = reference_reports(problem, traj)
         assert len(reports) == len(reference)
-        for got, want in zip(reports.tolist(), reference):
-            assert got == tuple(want), (got, want)
+        # a row is a namedtuple of Python values, the same whether iterated or indexed
+        for i, (got, want) in enumerate(zip(reports, reference)):
+            assert got == tuple(want) and got == reports[i] and got._fields == REPORT_FIELDS
+            assert list(map(type, got)) == [int, str, float, float, float, bool, bool]
         return reports
 
     def test_near_fixed_run(self):
@@ -466,7 +470,7 @@ class TestScalarReference:
         problem = make_problem(near.objective, init_far(near.u_star, 9), u_star=near.u_star)
         # every iterate of the first ten transitions lies outside the radius
         traj = near_run(problem, StepPolicy.adaptive_practical(), max_iters=10)
-        assert not any(row[3] for row in traj.audit)  # the row's radius flag
+        assert not traj.records.inside.any()
         reports = self.assert_rows_equal(problem, traj)
         assert not any(rep.applicable for rep in reports if rep.name != CHECK_OPTIMAL_STEP)
 
@@ -487,9 +491,11 @@ class TestScalarReference:
 
     def test_empty_audit(self):
         problem = make_instance(seed=1104)
-        empty = Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=1)
+        empty = Trajectory(traj.records[:0], TERMINATED_DIVERGED)
         reports = trajectory_reports(problem, empty)
         assert len(reports) == 0 and reports.dtype.names == Report._fields
+        assert list(reports) == []
         assert reference_reports(problem, empty) == []
 
     def test_problem_without_ground_truth_is_rejected(self):
@@ -497,7 +503,7 @@ class TestScalarReference:
         problem = make_instance(seed=1105)
         traj = near_run(problem, StepPolicy.fixed(), max_iters=5)
         blind = make_problem(problem.objective, problem.u0)
-        for audit in (traj, Trajectory(records=[], terminated=TERMINATED_DIVERGED, audit=[])):
+        for audit in (traj, Trajectory(traj.records[:0], TERMINATED_DIVERGED)):
             with pytest.raises(MissingGroundTruthError):
                 trajectory_reports(blind, audit)
         with pytest.raises(MissingGroundTruthError):

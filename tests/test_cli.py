@@ -13,13 +13,14 @@ from factordescent.stepsize import POLICY_KINDS
 
 def test_cli_import_loads_no_scipy():
     # the runtime needs numpy alone: LAPACK comes through numpy's gufuncs and
-    # the start's root bracketing is a port of brentq
+    # the start's root bracketing is a port of brentq. numpy.ma (which
+    # numpy.lib.recfunctions imports) would add about 14 ms to every start.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import factordescent.cli, sys; print(sorted(m for m in sys.modules"
-         " if m == 'scipy' or m.startswith('scipy.')))"],
+         " if m.split('.')[0] == 'scipy' or m == 'numpy.ma' or m.startswith('numpy.ma.')))"],
         env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
     assert out == "[]\n"
 
@@ -96,6 +97,22 @@ class TestRunCommand:
         assert (tmp_path / "plot.gp").exists()
         out = capsys.readouterr().out
         assert "fgd" in out and "wrote" in out
+
+    def test_table_is_sized_by_the_run_not_the_budget(self, tmp_path):
+        # the run appends its rows, so a budget no array could hold still runs
+        for name, budget in (("huge", "9" * 23), ("small", "1000")):
+            assert main(["run", "--n", "3", "--r", "1", "--max-iters", budget,
+                         "--out", str(tmp_path / name)]) == 0
+        for label in ("fgd", "adaptive-practical"):
+            huge, small = ((tmp_path / name / f"{label}.csv").read_text().splitlines()
+                           for name in ("huge", "small"))
+            assert len(huge) == len(small) > 2
+
+    def test_no_plot_script_when_every_policy_fails(self, tmp_path, capsys):
+        # gnuplot rejects the bare "plot " a script with no curve would end in
+        assert main(["run", "--init", "far:1e300", "--out", str(tmp_path)]) == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["summary.json"]
+        assert "wrote" in capsys.readouterr().out
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "experiment.cfg"

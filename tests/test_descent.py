@@ -13,6 +13,7 @@ from factordescent import (InvalidMatrixError, MissingGroundTruthError, Numerica
                            matrix_factorization, prepare, run,
                            sigma_min_positive, start_radius, step, stepsize)
 from factordescent import descent
+from factordescent.descent import AUDIT_FIELDS, RECORD_FIELDS, Table
 
 from oracles import random_orthonormal
 
@@ -79,9 +80,7 @@ class TestProblem:
         policy = StepPolicy.adaptive_exact(delta_rho=0.5)
         runs = [run(p, policy, max_iters=100, rel_tol=1e-12, delta_seed=4, audit=True)
                 for p in (made, direct)]
-        assert runs[0].records == runs[1].records
-        assert len(runs[0].audit) == len(runs[0].records)
-        assert np.array(runs[0].audit).tobytes() == np.array(runs[1].audit).tobytes()
+        assert runs[0].records.tobytes() == runs[1].records.tobytes()
 
     @pytest.mark.parametrize("u0, u_star, error", [
         (np.ones((5, 2)), None, ShapeMismatchError),  # U0 rows != target rows
@@ -359,27 +358,39 @@ class TestRun:
         one = run(problem, policy, max_iters=80, rel_tol=1e-9, delta_seed=5)
         two = run(problem, policy, max_iters=80, rel_tol=1e-9, delta_seed=5)
         assert one.terminated == two.terminated
-        assert one.records == two.records
+        assert one.records.tobytes() == two.records.tobytes()
 
     def test_delta_seed_changes_trajectory(self):
         problem = make_instance(seed=33)
         policy = StepPolicy.adaptive_exact(delta_rho=0.5)
         one = run(problem, policy, max_iters=80, rel_tol=1e-9, delta_seed=5)
         two = run(problem, policy, max_iters=80, rel_tol=1e-9, delta_seed=6)
-        assert one.records != two.records
+        assert one.records.tobytes() != two.records.tobytes()
 
     def test_audit_aligns_with_records(self, monkeypatch):
         problem = make_instance(seed=34)
         traj = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12, audit=True)
-        assert len(traj.audit) == len(traj.records)
-        # a row keeps what only the audit computes: eta_local, floor, correlation, flag
-        assert all(len(row) == 4 for row in traj.audit)
+        # one table: the record's columns, then what only the audit computes
+        assert traj.records.dtype.names == RECORD_FIELDS + AUDIT_FIELDS
+        # rows are namedtuples of Python values, the same iterated, indexed or stepped
+        types = [int, *[float] * 6, bool, *[float] * 3, bool]
+        for k, row in enumerate(traj.records):
+            assert row._fields == RECORD_FIELDS + AUDIT_FIELDS and list(map(type, row)) == types
+            assert row == traj.records[k] and row.k == k
+        assert traj.records[-1] == traj.final
+        _, first = step(problem.u0, StepPolicy.fixed(), problem, audit=True)
+        assert first == traj.records[0]
+        # a boolean mask or a slice keeps the class
+        assert type(traj.records[traj.records.k % 2 == 0]) is type(traj.records[1:]) is Table
         unaudited = run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-12)
-        assert unaudited.audit is None and unaudited.records == traj.records
-        # a run that blows up keeps no entry for the iterate it could not leave
+        assert unaudited.records.dtype.names == RECORD_FIELDS
+        for name in RECORD_FIELDS:  # the shared columns agree to the bit
+            assert unaudited.records[name].tobytes() == traj.records[name].tobytes()
+        # a run that blows up keeps no row for the iterate it could not leave
         diverged = diverging_run(monkeypatch, audit=True)
         assert diverged.terminated == TERMINATED_DIVERGED
-        assert len(diverged.audit) == len(diverged.records)
+        assert diverged.records.dtype.names == RECORD_FIELDS + AUDIT_FIELDS
+        assert diverged.records.k.tolist() == list(range(len(diverged)))
 
     def test_rotation_equivariance(self):
         problem = make_instance(n=25, r=2, seed=35)
@@ -427,7 +438,7 @@ class TestWithinStartRadius:
     def test_iterates_stay_inside_from_near_start(self):
         problem = make_instance(n=30, r=2, seed=38)
         traj = run(problem, StepPolicy.fixed(), max_iters=100, rel_tol=1e-9, audit=True)
-        assert all(row[3] for row in traj.audit)  # the row's radius flag
+        assert traj.records.inside.all()  # the row's radius flag
         # the audit's flag is the radius test a point check applies
         radius = check_init_condition(problem).rhs
         far = np.random.default_rng(5).uniform(-1.0, 1.0, problem.u0.shape)

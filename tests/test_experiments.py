@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tempfile
 from collections import Counter
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from factordescent import (CHECK_CONTRACTION_EXACT_LOCAL, CHECK_CONTRACTION_EXACT_OPTIMAL,
                            ConfigError, ExperimentConfig, FactorDescentError,
-                           IterateRecord, Objective, RunArtifact, Trajectory,
+                           Objective, RunArtifact, Trajectory,
                            check_init_condition, export_csv, figure_configs,
                            generate_instance, policy_from_name, run_comparison,
                            write_plot_script)
 from factordescent.bounds import _CHECKS, REPORT_FIELDS
+from factordescent.descent import RECORD_FIELDS, Table
 from factordescent.experiments import CHECKS_HEADER, ITERATE_HEADER
 
 # any float but NaN, with extra weight on subnormals, signed zeros and the
@@ -241,8 +243,11 @@ class TestExportCsv:
         def bits(x):
             return struct.pack("<d", x)
 
-        traj = Trajectory(records=[IterateRecord(k, *fields) for k, fields in
-                                   enumerate(records)], terminated="max_iters")
+        # a missing distance (no ground truth) is NaN in the table
+        rows = [(k, *(math.nan if x is None else x for x in fields), False)
+                for k, fields in enumerate(records)]
+        table = np.rec.fromarrays(list(zip(*rows)), names=RECORD_FIELDS).view(Table)
+        traj = Trajectory(records=table, terminated="max_iters")
         n = len(reports)
         rows = np.rec.fromarrays([np.arange(n), np.full(n, "regularity"),
                                   *np.array(reports, dtype=float).reshape(n, 3).T,
@@ -271,7 +276,7 @@ class TestExportCsv:
         for label, traj in art.trajectories.items():
             rows = [ITERATE_HEADER] + [",".join([
                 str(rec.k), *(repr(float(x)) for x in (rec.g_value, rec.rel_error)),
-                "" if rec.dist_sq is None else repr(float(rec.dist_sq)),
+                "" if math.isnan(rec.dist_sq) else repr(float(rec.dist_sq)),
                 *(repr(float(x)) for x in (rec.eta, rec.grad_norm_sq, rec.delta))])
                 for rec in traj.records]
             assert (tmp_path / f"{label}.csv").read_text() == "\n".join(rows) + "\n"
