@@ -386,7 +386,7 @@ class TestRun:
         assert unaudited.records.dtype.names == RECORD_FIELDS
         for name in RECORD_FIELDS:  # the shared columns agree to the bit
             assert unaudited.records[name].tobytes() == traj.records[name].tobytes()
-        # a run that blows up keeps no row for the iterate it could not leave
+        # a run that blows up still returns the audited rows of the iterates it left
         diverged = diverging_run(monkeypatch, audit=True)
         assert diverged.terminated == TERMINATED_DIVERGED
         assert diverged.records.dtype.names == RECORD_FIELDS + AUDIT_FIELDS
@@ -449,6 +449,8 @@ class TestWithinStartRadius:
     def test_audit_requires_ground_truth(self):
         problem = make_instance(seed=39)
         blind = make_problem(problem.objective, problem.u0)
+        # unaudited, the run goes on, and its distance column is NaN
+        assert np.isnan(run(blind, StepPolicy.fixed(), max_iters=5).records.dist_sq).all()
         with pytest.raises(MissingGroundTruthError):
             run(blind, StepPolicy.fixed(), max_iters=5, audit=True)
         with pytest.raises(MissingGroundTruthError):
