@@ -43,7 +43,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import stepsize
-from .descent import AUDIT_FIELDS, Problem, Table, Trajectory, _check_data, _evaluate
+from .descent import (AUDIT_FIELDS, RECORD_FIELDS, Problem, Table, Trajectory, _check_data,
+                      _evaluate)
 from .geometry import as_factor
 from .stepsize import StepContext
 
@@ -145,7 +146,10 @@ def _reports(eta0, m, sigma_r, columns, k0: int = 0, seed=0) -> Table:
 
 
 def _require_audit(problem: Problem, traj: Trajectory) -> None:
-    if traj.records.dtype.names[-len(AUDIT_FIELDS):] != AUDIT_FIELDS:
+    names = traj.records.dtype.names
+    if names[:len(RECORD_FIELDS)] != RECORD_FIELDS:
+        raise ValueError(f"trajectory table lacks the record columns {RECORD_FIELDS}")
+    if names[len(RECORD_FIELDS):] != AUDIT_FIELDS:
         raise ValueError("trajectory has no audit data; rerun with audit=True")
     problem._start_radius  # raises without a ground truth, as an audited run does
 

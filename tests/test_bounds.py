@@ -414,6 +414,20 @@ class TestSinglePass:
             with pytest.raises(ValueError, match="no audit data; rerun with audit=True"):
                 check(problem, traj)
 
+    @pytest.mark.parametrize("cut", ["audit", "records"])
+    def test_mismatched_trajectory_is_rejected(self, cut):
+        # one half of the table without the other: the audit columns, or the records
+        problem = make_instance(n=25, r=3, seed=1005)
+        traj = near_run(problem, StepPolicy.fixed(), max_iters=30, rel_tol=1e-15)
+        assert len(traj.records) == 31
+        keep = [name for name in traj.records.dtype.names
+                if (name in RECORD_FIELDS) == (cut == "audit")]
+        table = np.rec.fromarrays([traj.records[name] for name in keep], names=keep).view(Table)
+        short = dataclasses.replace(traj, records=table)
+        for check in (trajectory_reports, lambda *args: step_context_at(*args, 0)):
+            with pytest.raises(ValueError):
+                check(problem, short)
+
     def test_record_distance_feeds_the_point_checks(self):
         # the checks read D2 off the record: replacing it moves row k's regularity lhs
         problem = make_instance(n=25, r=3, seed=1006)
